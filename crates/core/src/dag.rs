@@ -39,6 +39,11 @@ struct Node {
     parents: Vec<DagIndex>,
     children: Vec<DagIndex>,
     completed: bool,
+    /// Parents not yet completed. Executors ask [`DepDag::is_ready`] of
+    /// every pending CE after every completion; with the count here that
+    /// question reads this node alone instead of chasing each node's
+    /// `parents` allocation across the heap.
+    unmet: u32,
 }
 
 /// A dependency DAG over CEs (used as the Controller's *Global DAG* and each
@@ -155,10 +160,15 @@ impl DepDag {
         }
 
         // Install the node and edges.
+        let unmet = parents
+            .iter()
+            .filter(|&&p| !self.nodes[p].completed)
+            .count() as u32;
         self.nodes.push(Node {
             parents: parents.clone(),
             children: Vec::new(),
             completed: false,
+            unmet,
         });
         for &p in &parents {
             self.nodes[p].children.push(index);
@@ -193,7 +203,13 @@ impl DepDag {
 
     /// Marks a CE completed (used by execution engines for readiness).
     pub fn mark_completed(&mut self, i: DagIndex) {
-        self.nodes[i].completed = true;
+        if std::mem::replace(&mut self.nodes[i].completed, true) {
+            return;
+        }
+        for k in 0..self.nodes[i].children.len() {
+            let child = self.nodes[i].children[k];
+            self.nodes[child].unmet -= 1;
+        }
     }
 
     /// Whether a CE completed.
@@ -203,11 +219,7 @@ impl DepDag {
 
     /// Whether every dependency of `i` has completed.
     pub fn is_ready(&self, i: DagIndex) -> bool {
-        !self.nodes[i].completed
-            && self.nodes[i]
-                .parents
-                .iter()
-                .all(|&p| self.nodes[p].completed)
+        !self.nodes[i].completed && self.nodes[i].unmet == 0
     }
 
     /// All currently runnable CEs (dependencies met, not completed).
@@ -330,6 +342,25 @@ mod tests {
         assert_eq!(dag.ready_set(), vec![1]);
         dag.mark_completed(1);
         assert!(dag.ready_set().is_empty());
+    }
+
+    #[test]
+    fn readiness_counts_only_incomplete_parents() {
+        let mut dag = DepDag::new();
+        dag.add_ce(&ce(0, vec![CeArg::write(A, 8)]));
+        dag.add_ce(&ce(1, vec![CeArg::write(B, 8)]));
+        dag.mark_completed(0);
+        // A child added after one parent completed waits for the other
+        // only, and a repeated completion is not counted twice.
+        dag.add_ce(&ce(2, vec![CeArg::read(A, 8), CeArg::read_write(B, 8)]));
+        assert_eq!(dag.parents(2), &[0, 1]);
+        dag.mark_completed(0);
+        assert!(!dag.is_ready(2));
+        dag.mark_completed(1);
+        dag.mark_completed(1);
+        assert!(dag.is_ready(2));
+        dag.mark_completed(2);
+        assert!(!dag.is_ready(2));
     }
 
     #[test]

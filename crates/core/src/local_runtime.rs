@@ -8,8 +8,8 @@
 //! real. Workers are OS threads holding local array copies, the controller
 //! transmits plans over crossbeam channels, data moves as buffer messages
 //! (controller-send or true peer-to-peer between worker threads), and
-//! kernels compiled by `kernelc` execute on the host CPU (rayon-parallel
-//! across blocks).
+//! kernels compiled by `kernelc` execute on the host CPU (blocks split
+//! across cores when a launch carries enough work).
 //!
 //! Execution is deferred, matching GrCUDA's asynchronous semantics:
 //! `launch` *plans* a CE eagerly (so the planner's coherence view evolves

@@ -1036,6 +1036,102 @@ impl WorkerEngine {
     }
 }
 
+/// Where an in-process worker thread starts running.
+///
+/// Linux puts a new thread on an idle core when it finds one, and wake-ups
+/// then keep a thread on the core it last ran on. [`ChannelTransport`]
+/// spawns its workers back to back: while the first is still starting on
+/// the idle core, the second is forked onto the spawner's — the
+/// controller's — own core, and from there it preempts the controller on
+/// every message until the load balancer happens to move it. On 2 vCPUs
+/// that made 15-20 % of 4096-CE sessions run 10-50 % long, a different
+/// share in every process. [`placement::leave_core`] is the worker's half
+/// of the fix.
+#[cfg(target_os = "linux")]
+mod placement {
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+
+    /// glibc's `cpu_set_t`: 1024 CPUs.
+    type CpuSet = [u64; 16];
+
+    /// The core the calling thread is running on.
+    pub fn current_core() -> Option<usize> {
+        // SAFETY: no arguments, no preconditions.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+
+    /// The cores the calling thread may run on.
+    pub fn allowed_cores() -> Option<CpuSet> {
+        let mut allowed: CpuSet = [0; 16];
+        // SAFETY: `allowed` is that many writable bytes; pid 0 is the
+        // calling thread.
+        let rc =
+            unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), allowed.as_mut_ptr()) };
+        (rc >= 0).then_some(allowed)
+    }
+
+    /// Moves the calling thread off `core` if it is running there and may
+    /// run elsewhere: drops `core` from the thread's affinity mask for one
+    /// call, which migrates it, and restores the mask, so nothing is
+    /// pinned afterwards. Every failure leaves the thread where it was.
+    pub fn leave_core(core: usize) {
+        if current_core() != Some(core) {
+            return;
+        }
+        let Some(allowed) = allowed_cores() else {
+            return;
+        };
+        let mut elsewhere = allowed;
+        match elsewhere.get_mut(core / 64) {
+            Some(word) => *word &= !(1 << (core % 64)),
+            None => return,
+        }
+        if elsewhere.iter().all(|word| *word == 0) {
+            return;
+        }
+        let size = std::mem::size_of::<CpuSet>();
+        // SAFETY: both masks are `size` readable bytes; pid 0 is the
+        // calling thread. The second call restores what the first narrowed.
+        unsafe {
+            if sched_setaffinity(0, size, elsewhere.as_ptr()) == 0 {
+                sched_setaffinity(0, size, allowed.as_ptr());
+            }
+        }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod placement {
+    pub fn current_core() -> Option<usize> {
+        None
+    }
+
+    pub fn leave_core(_core: usize) {}
+}
+
+/// Spawns the thread of in-process worker `me`, started off the core the
+/// caller runs on (see [`placement`]).
+fn spawn_worker(
+    me: usize,
+    rx: Receiver<CtrlMsg>,
+    to_controller: Sender<WorkerMsg>,
+    peers: Arc<Mutex<Vec<Sender<CtrlMsg>>>>,
+) -> std::io::Result<JoinHandle<()>> {
+    let spawner_core = placement::current_core();
+    std::thread::Builder::new()
+        .name(format!("grout-worker-{me}"))
+        .spawn(move || {
+            if let Some(core) = spawner_core {
+                placement::leave_core(core);
+            }
+            run_worker(me, rx, to_controller, peers)
+        })
+}
+
 /// Drives a [`WorkerEngine`] from crossbeam channels until it halts — the
 /// body of every in-process worker thread.
 pub fn run_worker(
@@ -1172,11 +1268,7 @@ impl ChannelTransport {
     /// A worker whose thread fails to spawn is recorded in
     /// [`Transport::spawn_failures`] instead of failing the construction.
     pub fn new(n: usize) -> Self {
-        ChannelTransport::with_spawner(n, |i, rx, back, peers| {
-            std::thread::Builder::new()
-                .name(format!("grout-worker-{i}"))
-                .spawn(move || run_worker(i, rx, back, peers))
-        })
+        ChannelTransport::with_spawner(n, spawn_worker)
     }
 
     /// Startup with an injectable thread spawner (tests force spawn
@@ -1353,10 +1445,7 @@ impl Transport for ChannelTransport {
         let rx = w.rx.clone();
         let back = self.to_controller.clone();
         let peers = Arc::clone(&self.peer_txs);
-        match std::thread::Builder::new()
-            .name(format!("grout-worker-{worker}"))
-            .spawn(move || run_worker(worker, rx, back, peers))
-        {
+        match spawn_worker(worker, rx, back, peers) {
             Ok(join) => {
                 w.join = Some(join);
                 true
@@ -1377,10 +1466,7 @@ impl Transport for ChannelTransport {
         let back = self.to_controller.clone();
         let peers = Arc::clone(&self.peer_txs);
         let rx2 = rx.clone();
-        match std::thread::Builder::new()
-            .name(format!("grout-worker-{i}"))
-            .spawn(move || run_worker(i, rx2, back, peers))
-        {
+        match spawn_worker(i, rx2, back, peers) {
             Ok(join) => {
                 self.workers.push(ChannelWorker {
                     tx,
@@ -1455,6 +1541,25 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn leaving_a_core_pins_nothing() {
+        // On its own thread: the test harness's threads keep their masks.
+        std::thread::spawn(|| {
+            let before = placement::allowed_cores().expect("affinity mask");
+            let here = placement::current_core().expect("current core");
+            // Not the core this thread runs on: nothing to leave.
+            placement::leave_core(here + 1);
+            assert_eq!(placement::allowed_cores(), Some(before));
+            // Its own core: moved if another core is allowed, and in
+            // either case free to run everywhere it could before.
+            placement::leave_core(here);
+            assert_eq!(placement::allowed_cores(), Some(before));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

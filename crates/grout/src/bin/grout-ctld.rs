@@ -932,10 +932,12 @@ fn run_admitted(
         Ok(lines) => {
             let kernels = pg.runtime().stats().kernels;
             send(stream, &CtldMsg::Output { lines })?;
-            send(stream, &CtldMsg::Finished { kernels })?;
+            // Registry first: a client that has read `Finished` must find
+            // its session finished on `/sessions`.
             daemon
                 .registry
                 .update(ticket.0, |e| e.phase = Phase::Finished { kernels });
+            send(stream, &CtldMsg::Finished { kernels })?;
             daemon.log.info(
                 "session_finished",
                 Some(sid.0),

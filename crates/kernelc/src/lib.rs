@@ -4,9 +4,11 @@
 //! GrOUT's `buildkernel` API hands a CUDA C++ source string to NVRTC at
 //! runtime. This crate supplies the equivalent for the reproduction: a
 //! lexer, parser and type checker for a restricted CUDA C dialect, a
-//! *parallel interpreter* so kernels genuinely execute on the host (rayon
-//! across blocks, relaxed atomics for buffer traffic), and a static
-//! access-pattern analyzer whose output drives the UVM cost model.
+//! *bytecode back end* so kernels genuinely execute on the host (lowered
+//! once to flat register code, run per simulated thread, blocks split
+//! across cores by estimated work, relaxed atomics for buffer traffic),
+//! and a static access-pattern analyzer whose output drives the UVM cost
+//! model.
 //!
 //! The dialect covers what the paper's workload suite needs: 1-D grids
 //! (`threadIdx.x`/`blockIdx.x`/`blockDim.x`/`gridDim.x`), `int`/`float`
@@ -31,21 +33,23 @@
 
 mod analysis;
 mod ast;
+#[cfg(test)]
+mod differential;
 mod interp;
 mod parser;
 mod racecheck;
 mod token;
 mod typeck;
+#[cfg(test)]
+mod walker;
 
 use std::fmt;
 
 pub use analysis::{analyze, flops_per_thread, AccessClass, ParamAccess};
 pub use ast::{Elem, Kernel, Param, ParamType};
-pub use interp::{
-    launch, launch2d, launch2d_with_budget, launch_with_budget, KernelArg, LaunchError, LaunchStats,
-};
+pub use interp::{KernelArg, LaunchError, LaunchStats};
 pub use parser::{parse, ParseError};
-pub use racecheck::{launch_checked, Race, RaceReport};
+pub use racecheck::{Race, RaceReport};
 pub use token::{lex, LexError};
 pub use typeck::{check, erf, CheckedKernel, Intrinsic, TypeError};
 
@@ -84,7 +88,8 @@ impl From<TypeError> for CompileError {
     }
 }
 
-/// A fully compiled kernel: checked IR plus its access analysis.
+/// A fully compiled kernel: checked IR, its access analysis, and the
+/// bytecode the host executes.
 ///
 /// The original source is retained so a kernel can be shipped across a
 /// process boundary as `(source, name)` and recompiled remotely:
@@ -94,6 +99,7 @@ impl From<TypeError> for CompileError {
 pub struct CompiledKernel {
     checked: CheckedKernel,
     access: Vec<ParamAccess>,
+    program: interp::Program,
     source: std::sync::Arc<str>,
 }
 
@@ -129,14 +135,16 @@ impl CompiledKernel {
         flops_per_thread(&self.checked, assumed_trip)
     }
 
-    /// Executes the kernel over a 1-D grid on the host (rayon-parallel).
+    /// Executes the kernel over a 1-D grid on the host: threads in flat
+    /// `(block, thread)` order, blocks split across cores when the launch
+    /// carries enough work to pay for the threads.
     pub fn launch(
         &self,
         grid: u32,
         block: u32,
         args: &mut [KernelArg<'_>],
     ) -> Result<LaunchStats, LaunchError> {
-        launch(&self.checked, grid, block, args)
+        self.launch_with_budget(grid, block, args, interp::DEFAULT_STEP_BUDGET)
     }
 
     /// Executes the kernel over a 2-D grid (`dim3(x, y)` semantics).
@@ -146,7 +154,8 @@ impl CompiledKernel {
         block: (u32, u32),
         args: &mut [KernelArg<'_>],
     ) -> Result<LaunchStats, LaunchError> {
-        launch2d(&self.checked, grid, block, args)
+        self.program
+            .launch(grid, block, args, interp::DEFAULT_STEP_BUDGET)
     }
 
     /// Sequential launch with data-race detection (the `compute-sanitizer
@@ -158,10 +167,11 @@ impl CompiledKernel {
         block: u32,
         args: &mut [KernelArg<'_>],
     ) -> Result<RaceReport, LaunchError> {
-        launch_checked(&self.checked, grid, block, args, 16)
+        racecheck::launch_checked(&self.program, grid, block, args, 16)
     }
 
-    /// [`CompiledKernel::launch`] with an explicit step budget.
+    /// [`CompiledKernel::launch`] with an explicit per-thread step budget
+    /// (in bytecode instructions; the default is 2^32).
     pub fn launch_with_budget(
         &self,
         grid: u32,
@@ -169,7 +179,7 @@ impl CompiledKernel {
         args: &mut [KernelArg<'_>],
         budget: u64,
     ) -> Result<LaunchStats, LaunchError> {
-        launch_with_budget(&self.checked, grid, block, args, budget)
+        self.program.launch((grid, 1), (block, 1), args, budget)
     }
 }
 
@@ -181,9 +191,11 @@ pub fn compile(source: &str) -> Result<Vec<CompiledKernel>, CompileError> {
         .map(|k| {
             let checked = check(k)?;
             let access = analyze(&checked);
+            let program = interp::Program::lower(&checked)?;
             Ok(CompiledKernel {
                 checked,
                 access,
+                program,
                 source: std::sync::Arc::clone(&src),
             })
         })

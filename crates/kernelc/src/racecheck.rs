@@ -1,6 +1,6 @@
 //! Data-race detection for kernels.
 //!
-//! On a real GPU (and in this crate's parallel interpreter) a kernel where
+//! On a real GPU (and in this crate's multi-core launches) a kernel where
 //! two threads plainly write the same element has unspecified results
 //! (last-write-wins). `launch_checked` executes the kernel *sequentially*,
 //! recording which thread wrote and read every buffer element, and reports
@@ -13,8 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::interp::{KernelArg, LaunchError};
-use crate::typeck::CheckedKernel;
+use crate::interp::{KernelArg, LaunchError, Program};
 
 /// A detected race between two simulated GPU threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,16 +70,17 @@ impl RaceReport {
     }
 }
 
-/// Executes the kernel one simulated thread at a time (grid order) by
-/// substituting the grid builtins with constants and running each thread
-/// through the traced interpreter, tracking per-element access history and
+/// Executes the kernel one simulated thread at a time (grid order) on the
+/// same bytecode VM as [`crate::CompiledKernel::launch`], with its
+/// access-log hook switched on, tracking per-element access history and
 /// reporting inter-thread conflicts. Results are written to the buffers
-/// exactly as a sequential execution would produce them.
+/// exactly as a sequential execution would produce them. The launch is
+/// 1-D: a 2-D kernel sees a single `y` lane.
 ///
-/// This is O(total accesses) in memory and far slower than
-/// [`crate::launch`]; use it in tests and debugging, not production runs.
-pub fn launch_checked(
-    kernel: &CheckedKernel,
+/// This is O(accesses per thread) in memory and far slower than a plain
+/// launch; use it in tests and debugging, not production runs.
+pub(crate) fn launch_checked(
+    program: &Program,
     grid: u32,
     block: u32,
     args: &mut [KernelArg<'_>],
@@ -91,193 +91,30 @@ pub fn launch_checked(
     let mut last_writer: HashMap<(usize, usize), u64> = HashMap::new();
     let mut races = Vec::new();
     let mut threads = 0u64;
-
-    // Execute one thread at a time by launching a 1x1 sub-grid with
-    // translated builtin indices. Rather than re-implementing the
-    // interpreter, we reuse it through a shim kernel view: the interpreter
-    // exposes per-thread execution only via full launches, so here we run
-    // <<<1,1>>> per (bid, tid) against a kernel whose builtins are
-    // substituted. Substitution is cheap: builtins are dense in the IR.
-    let total = grid as u64 * block as u64;
-    for gid in 0..total {
-        let bid = (gid / block as u64) as u32;
-        let tid = (gid % block as u64) as u32;
-        let shim = substitute_builtins(kernel, bid, tid, grid, block);
-        let log = crate::interp::launch_traced(&shim, args, 1 << 24)?;
+    program.launch_traced(grid, block, args, 1 << 24, |gid, log| {
         threads += 1;
-        for (param, index, is_write, is_atomic) in log {
+        for &(param, index, is_write, is_atomic) in log {
             if is_atomic {
                 continue;
             }
             let key = (param, index);
-            if is_write {
-                if let Some(&w) = last_writer.get(&key) {
-                    if w != gid && races.len() < max_races {
-                        races.push(Race {
-                            param,
-                            index,
-                            first_writer: w,
-                            second: gid,
-                            second_is_write: true,
-                        });
-                    }
-                }
-                last_writer.insert(key, gid);
-            } else if let Some(&w) = last_writer.get(&key) {
+            // NOTE: race *recording* saturates at `max_races`, but execution
+            // continues so buffer contents always match a full sequential run.
+            if let Some(&w) = last_writer.get(&key) {
                 if w != gid && races.len() < max_races {
                     races.push(Race {
                         param,
                         index,
                         first_writer: w,
                         second: gid,
-                        second_is_write: false,
+                        second_is_write: is_write,
                     });
                 }
             }
+            if is_write {
+                last_writer.insert(key, gid);
+            }
         }
-        // NOTE: race *recording* saturates at `max_races`, but execution
-        // continues so buffer contents always match a full sequential run.
-    }
+    })?;
     Ok(RaceReport { races, threads })
-}
-
-/// Rewrites grid builtins to constants so a kernel body can be run as a
-/// single thread of a larger virtual launch.
-fn substitute_builtins(
-    kernel: &CheckedKernel,
-    bid: u32,
-    tid: u32,
-    grid: u32,
-    block: u32,
-) -> CheckedKernel {
-    use crate::ast::BuiltinVar;
-    use crate::typeck::{RExpr, RStmt};
-
-    fn sub_e(e: &RExpr, bid: u32, tid: u32, grid: u32, block: u32) -> RExpr {
-        match e {
-            RExpr::Builtin(b) => RExpr::IntLit(match b {
-                BuiltinVar::ThreadIdxX => tid as i32,
-                BuiltinVar::BlockIdxX => bid as i32,
-                BuiltinVar::BlockDimX => block as i32,
-                BuiltinVar::GridDimX => grid as i32,
-                // The race checker runs 1-D launches; 2-D kernels collapse
-                // their y dimension to a single lane.
-                BuiltinVar::ThreadIdxY | BuiltinVar::BlockIdxY => 0,
-                BuiltinVar::BlockDimY | BuiltinVar::GridDimY => 1,
-            }),
-            RExpr::Load { param, elem, index } => RExpr::Load {
-                param: *param,
-                elem: *elem,
-                index: Box::new(sub_e(index, bid, tid, grid, block)),
-            },
-            RExpr::Unary { op, elem, expr } => RExpr::Unary {
-                op: *op,
-                elem: *elem,
-                expr: Box::new(sub_e(expr, bid, tid, grid, block)),
-            },
-            RExpr::Binary { op, elem, lhs, rhs } => RExpr::Binary {
-                op: *op,
-                elem: *elem,
-                lhs: Box::new(sub_e(lhs, bid, tid, grid, block)),
-                rhs: Box::new(sub_e(rhs, bid, tid, grid, block)),
-            },
-            RExpr::Call { func, args } => RExpr::Call {
-                func: *func,
-                args: args
-                    .iter()
-                    .map(|a| sub_e(a, bid, tid, grid, block))
-                    .collect(),
-            },
-            RExpr::Ternary {
-                cond,
-                elem,
-                then,
-                els,
-            } => RExpr::Ternary {
-                cond: Box::new(sub_e(cond, bid, tid, grid, block)),
-                elem: *elem,
-                then: Box::new(sub_e(then, bid, tid, grid, block)),
-                els: Box::new(sub_e(els, bid, tid, grid, block)),
-            },
-            RExpr::Cast { to, expr } => RExpr::Cast {
-                to: *to,
-                expr: Box::new(sub_e(expr, bid, tid, grid, block)),
-            },
-            other => other.clone(),
-        }
-    }
-
-    fn sub_s(s: &RStmt, bid: u32, tid: u32, grid: u32, block: u32) -> RStmt {
-        match s {
-            RStmt::SetLocal { slot, value } => RStmt::SetLocal {
-                slot: *slot,
-                value: sub_e(value, bid, tid, grid, block),
-            },
-            RStmt::Store {
-                param,
-                index,
-                value,
-            } => RStmt::Store {
-                param: *param,
-                index: sub_e(index, bid, tid, grid, block),
-                value: sub_e(value, bid, tid, grid, block),
-            },
-            RStmt::AtomicAdd {
-                param,
-                index,
-                value,
-            } => RStmt::AtomicAdd {
-                param: *param,
-                index: sub_e(index, bid, tid, grid, block),
-                value: sub_e(value, bid, tid, grid, block),
-            },
-            RStmt::If { cond, then, els } => RStmt::If {
-                cond: sub_e(cond, bid, tid, grid, block),
-                then: then
-                    .iter()
-                    .map(|x| sub_s(x, bid, tid, grid, block))
-                    .collect(),
-                els: els
-                    .iter()
-                    .map(|x| sub_s(x, bid, tid, grid, block))
-                    .collect(),
-            },
-            RStmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => RStmt::For {
-                init: Box::new(sub_s(init, bid, tid, grid, block)),
-                cond: sub_e(cond, bid, tid, grid, block),
-                step: Box::new(sub_s(step, bid, tid, grid, block)),
-                body: body
-                    .iter()
-                    .map(|x| sub_s(x, bid, tid, grid, block))
-                    .collect(),
-            },
-            RStmt::While { cond, body } => RStmt::While {
-                cond: sub_e(cond, bid, tid, grid, block),
-                body: body
-                    .iter()
-                    .map(|x| sub_s(x, bid, tid, grid, block))
-                    .collect(),
-            },
-            RStmt::Return => RStmt::Return,
-        }
-    }
-
-    CheckedKernel {
-        name: kernel.name.clone(),
-        params: kernel.params.clone(),
-        local_slots: kernel.local_slots,
-        local_types: kernel.local_types.clone(),
-        body: kernel
-            .body
-            .iter()
-            .map(|s| sub_s(s, bid, tid, grid, block))
-            .collect(),
-        reads: kernel.reads.clone(),
-        writes: kernel.writes.clone(),
-    }
 }

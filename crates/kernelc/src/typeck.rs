@@ -1,6 +1,6 @@
 //! Type checking and lowering to a slot-resolved IR.
 //!
-//! The interpreter executes millions of simulated threads, so name lookups
+//! The back end executes millions of simulated threads, so name lookups
 //! are resolved once here: locals become dense slot indices, parameters
 //! become positional references, and implicit C-style int->float promotions
 //! are made explicit.

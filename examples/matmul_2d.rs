@@ -32,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut c_small = vec![0.0f32; 8 * 8];
     let mut a_small = vec![1.0f32; 8 * 8];
     let mut b_small = vec![1.0f32; 8 * 8];
-    let report = kernelc::launch_checked(
-        kernel.checked(),
+    let report = kernel.launch_checked(
         4,
         16,
         &mut [
@@ -44,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kernelc::KernelArg::Int(8),
             kernelc::KernelArg::Int(8),
         ],
-        16,
     )?;
     println!(
         "racecheck: {} ({} threads)",

@@ -277,6 +277,14 @@ else
 fi
 echo "introspection e2e OK: live endpoints answered with per-session labels"
 
+echo "==> kernelc bench artifact (BENCH_interp.json regenerates and parses)"
+cargo bench -q -p grout-bench --bench interp
+if command -v python3 >/dev/null; then
+  python3 -m json.tool BENCH_interp.json >/dev/null
+else
+  echo "(python3 unavailable; BENCH_interp.json written by the bench itself)"
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -415,6 +415,8 @@ fn sigkilled_workerd_is_quarantined_and_replayed() {
 
 /// `Threads:` from `/proc/self/status` — the kernel's count of threads
 /// in this process, immune to miscounting spawned-and-exited helpers.
+/// Process-wide, so only meaningful where nothing else runs: see
+/// [`controller_multiplexes_64_workers_over_one_io_thread`].
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -427,18 +429,45 @@ fn thread_count() -> usize {
         .expect("thread count parses")
 }
 
+/// Set in the re-executed child of the thread-count test.
+#[cfg(target_os = "linux")]
+const ALONE_ENV: &str = "GROUT_TEST_ALONE_IN_PROCESS";
+
 /// The event-loop acceptance check: a 64-worker mesh — every workerd an
 /// in-process `serve_shutdown` loop, so worker threads are countable —
 /// runs a full DAG while the controller adds exactly ONE thread (the
 /// `grout-net-io` poll loop), not one reader per socket; and the serve
 /// loops themselves spawn nothing (heartbeats, clock pings and telemetry
 /// flushes are poll deadlines, not threads).
+///
+/// The count is process-wide and sibling tests start and stop threads of
+/// their own, so the check re-executes this test binary filtered to this
+/// one test and asserts in that child, where it is alone.
 #[cfg(target_os = "linux")]
 #[test]
 fn controller_multiplexes_64_workers_over_one_io_thread() {
     use std::sync::atomic::AtomicBool;
 
     use grout::core::NetOptions;
+
+    if std::env::var_os(ALONE_ENV).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "controller_multiplexes_64_workers_over_one_io_thread",
+                "--nocapture",
+            ])
+            .env(ALONE_ENV, "1")
+            .output()
+            .expect("re-exec the test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "isolated thread-count check failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
 
     const W: usize = 64;
     let shutdown = Arc::new(AtomicBool::new(false));
