@@ -8,8 +8,7 @@
 //!   <https://ui.perfetto.dev> or `chrome://tracing`),
 //! - `--metrics-out` writes a flat JSON object of labeled [`Metrics`]
 //!   dumps (latency stats, per-policy bytes moved, fault counters,
-//!   per-worker kernel occupancy). Paths ending in `.csv` get the CSV
-//!   rendering instead.
+//!   per-worker kernel occupancy).
 
 use grout::core::{ChromeTracer, Metrics, Shared, SimConfig, SimRuntime};
 use grout::workloads::SimWorkload;
@@ -20,7 +19,7 @@ use std::path::PathBuf;
 pub struct ArtifactArgs {
     /// Destination for the Chrome `trace_event` JSON, if requested.
     pub trace_out: Option<PathBuf>,
-    /// Destination for the metrics dump (JSON, or CSV for `.csv` paths).
+    /// Destination for the metrics dump (JSON).
     pub metrics_out: Option<PathBuf>,
 }
 
@@ -55,27 +54,18 @@ impl ArtifactArgs {
 
     /// Writes labeled metrics dumps if `--metrics-out` was given. Each
     /// `(label, metrics)` pair becomes one top-level key of the JSON
-    /// object; a `.csv` path instead concatenates labeled CSV sections.
+    /// object.
     pub fn write_metrics(&self, labeled: &[(&str, &Metrics)]) {
         let Some(path) = &self.metrics_out else {
             return;
         };
-        let is_csv = path.extension().is_some_and(|e| e == "csv");
-        let body = if is_csv {
+        let obj = serde_json::Value::Object(
             labeled
                 .iter()
-                .map(|(label, m)| format!("# {label}\n{}", m.to_csv()))
-                .collect::<Vec<_>>()
-                .join("\n")
-        } else {
-            let obj = serde_json::Value::Object(
-                labeled
-                    .iter()
-                    .map(|(label, m)| (label.to_string(), m.to_json_value()))
-                    .collect(),
-            );
-            serde_json::to_string_pretty(&obj).expect("render metrics artifact")
-        };
+                .map(|(label, m)| (label.to_string(), m.to_json_value()))
+                .collect(),
+        );
+        let body = serde_json::to_string_pretty(&obj).expect("render metrics artifact");
         std::fs::write(path, body).expect("write metrics artifact");
         eprintln!(
             "metrics: wrote {} section(s) to {}",
@@ -137,7 +127,7 @@ mod tests {
             "t.json",
             "96",
             "--metrics-out",
-            "m.csv",
+            "m.json",
         ]));
         assert_eq!(
             art.trace_out.as_deref(),
@@ -145,7 +135,7 @@ mod tests {
         );
         assert_eq!(
             art.metrics_out.as_deref(),
-            Some(std::path::Path::new("m.csv"))
+            Some(std::path::Path::new("m.json"))
         );
         assert!(art.wanted());
         assert!(!ArtifactArgs::parse(&strings(&["bin", "cg"])).wanted());

@@ -30,7 +30,7 @@
 //!   clean run with zero quarantines, the modeled severs counted as
 //!   session resumes.
 //! - `--net-sever`: TCP differential — sever worker 0's socket under the
-//!   controller mid-stream; the v4 session layer must resume and replay
+//!   controller mid-stream; the session layer must resume and replay
 //!   so the run stays bit-identical with zero quarantines and ≥1 resume.
 //! - `--sigstop`: TCP differential — SIGSTOP one workerd past the
 //!   staleness window (suspect fires, socket severed), SIGCONT it inside

@@ -6,7 +6,7 @@
 //!   --plans: also dump the scheduler's decision record per CE as JSON
 //!            lines (from the `SchedTrace` both runtimes feed)
 //!   --trace-out: write a Chrome trace_event JSON of the run (Perfetto)
-//!   --metrics-out: write the metrics registry as JSON (or CSV for .csv)
+//!   --metrics-out: write the metrics registry as JSON
 
 use grout_bench::ArtifactArgs;
 

@@ -575,9 +575,9 @@ impl LocalRuntime {
         }
         self.metrics.record_kernel(worker, elapsed_ns);
         self.metrics.execute.record(elapsed_ns);
-        // Fallback synthetic span, only while the worker streams no
-        // telemetry of its own (v1 peer or recording off): its batches
-        // carry clock-aligned execute spans that supersede this estimate.
+        // Fallback synthetic span, only until the worker's first
+        // telemetry batch arrives: its batches carry clock-aligned
+        // execute spans that supersede this estimate.
         let worker_traces = self
             .saw_worker_telemetry
             .get(worker)

@@ -18,8 +18,8 @@
 //! 3. **Exporters** — [`ChromeTracer`] renders recorded events as Chrome
 //!    `trace_event` JSON (one process lane per node, one thread lane per
 //!    stream; loadable in `chrome://tracing` or [Perfetto]), and
-//!    [`Metrics::to_json_value`] / [`Metrics::to_csv`] emit flat dumps the
-//!    `grout-bench` binaries write as machine-readable run artifacts.
+//!    [`Metrics::to_json_value`] emits the flat dump the `grout-bench`
+//!    binaries write as a machine-readable run artifact.
 //!
 //! Timestamps are nanoseconds from an arbitrary per-run origin: the
 //! simulator passes virtual time (making traces bit-for-bit deterministic
@@ -1002,8 +1002,8 @@ impl LatencyStat {
 /// Per-peer wire observability snapshot: frames/bytes both directions,
 /// the heartbeat RTT histogram, the current clock-offset estimate and
 /// telemetry-batch accounting. Produced by `Transport::wire_stats`
-/// implementations and surfaced through [`Metrics::to_json_value`] /
-/// [`Metrics::to_csv`] and `grout-run --stats`.
+/// implementations and surfaced through [`Metrics::to_json_value`] and
+/// `grout-run --stats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeerWireStats {
     /// Frames written to this peer.
@@ -1308,110 +1308,9 @@ impl Metrics {
     }
 
     /// The registry rendered as pretty-printed JSON (what `--metrics-out`
-    /// writes for `.json` paths).
+    /// writes).
     pub fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(&self.to_json_value()).expect("render metrics")
-    }
-
-    /// The registry as `key,value` CSV lines (latency aggregates flatten
-    /// to `name.count`, `name.mean_ns`, ...).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        let mut kv = |k: &str, v: String| {
-            out.push_str(k);
-            out.push(',');
-            out.push_str(&v);
-            out.push('\n');
-        };
-        // Flattening a LatencyStat always starts with its `count` column,
-        // and every derived column (mean, percentiles) is 0 when count is
-        // 0 — a consumer never sees NaN in the CSV.
-        let stat_cols = |stat: LatencyStat| -> Vec<(&'static str, String)> {
-            vec![
-                ("count", stat.count.to_string()),
-                ("sum_ns", stat.sum_ns.to_string()),
-                ("min_ns", stat.min_ns.to_string()),
-                ("max_ns", stat.max_ns.to_string()),
-                ("mean_ns", format!("{}", stat.mean_ns())),
-                ("p50_ns", stat.percentile_ns(0.50).to_string()),
-                ("p90_ns", stat.percentile_ns(0.90).to_string()),
-                ("p99_ns", stat.percentile_ns(0.99).to_string()),
-            ]
-        };
-        for (name, stat) in [
-            ("plan", self.plan),
-            ("queue", self.queue),
-            ("transfer", self.transfer),
-            ("execute", self.execute),
-        ] {
-            for (col, v) in stat_cols(stat) {
-                kv(&format!("{name}.{col}"), v);
-            }
-        }
-        kv(
-            "controller_send_bytes",
-            self.controller_send_bytes.to_string(),
-        );
-        kv("p2p_bytes", self.p2p_bytes.to_string());
-        kv("staged_bytes", self.staged_bytes.to_string());
-        kv("payload_bytes", self.payload_bytes().to_string());
-        kv("faults", self.faults.to_string());
-        kv("retries", self.retries.to_string());
-        kv("quarantines", self.quarantines.to_string());
-        kv("replays", self.replays.to_string());
-        kv("reassigns", self.reassigns.to_string());
-        kv("transfers_dropped", self.transfers_dropped.to_string());
-        kv("transfers_delayed", self.transfers_delayed.to_string());
-        kv("transfers_redriven", self.transfers_redriven.to_string());
-        kv("spawn_failures", self.spawn_failures.to_string());
-        kv("suspects", self.suspects.to_string());
-        kv("reinstates", self.reinstates.to_string());
-        kv("rejoins", self.rejoins.to_string());
-        for (w, k) in self.kernels_by_worker.iter().enumerate() {
-            kv(&format!("kernels_by_worker.{w}"), k.to_string());
-        }
-        for (w, b) in self.busy_ns_by_worker.iter().enumerate() {
-            kv(&format!("busy_ns_by_worker.{w}"), b.to_string());
-        }
-        kv("bw_source", self.bw_source.clone());
-        kv("transport", self.transport.clone());
-        for (src, row) in self.bw_bps.iter().enumerate() {
-            for (dst, b) in row.iter().enumerate() {
-                kv(&format!("bw_bps.{src}.{dst}"), b.to_string());
-            }
-        }
-        // Per-peer wire rows carry the owning session id (0 for a
-        // standalone deployment), so multi-tenant CSV exports from
-        // different sessions stay distinguishable after concatenation.
-        let session = self.session.unwrap_or(0);
-        for (w, s) in self.wire.iter().enumerate() {
-            kv(&format!("wire.{w}.session"), session.to_string());
-            kv(&format!("wire.{w}.frames_sent"), s.frames_sent.to_string());
-            kv(&format!("wire.{w}.bytes_sent"), s.bytes_sent.to_string());
-            kv(&format!("wire.{w}.frames_recv"), s.frames_recv.to_string());
-            kv(&format!("wire.{w}.bytes_recv"), s.bytes_recv.to_string());
-            for (col, v) in stat_cols(s.hb_rtt) {
-                kv(&format!("wire.{w}.hb_rtt.{col}"), v);
-            }
-            kv(
-                &format!("wire.{w}.clock_offset_ns"),
-                s.clock_offset_ns.to_string(),
-            );
-            kv(
-                &format!("wire.{w}.telemetry_batches"),
-                s.telemetry_batches.to_string(),
-            );
-            kv(
-                &format!("wire.{w}.telemetry_spans"),
-                s.telemetry_spans.to_string(),
-            );
-            kv(
-                &format!("wire.{w}.telemetry_backlog"),
-                s.telemetry_backlog.to_string(),
-            );
-            kv(&format!("wire.{w}.resumes"), s.resumes.to_string());
-        }
-        out
     }
 }
 
@@ -1967,14 +1866,6 @@ mod tests {
         assert_eq!(empty.percentile_ns(0.99), 0);
         let mut m = Metrics::with_workers(1);
         m.wire.push(PeerWireStats::default()); // hb_rtt has count 0
-        let csv = m.to_csv();
-        assert!(!csv.contains("NaN"), "zero-sample CSV must not carry NaN");
-        assert!(csv.contains("queue.count,0\n"));
-        assert!(csv.contains("queue.p99_ns,0\n"));
-        assert!(csv.contains("wire.0.hb_rtt.count,0\n"));
-        assert!(csv.contains("wire.0.hb_rtt.p50_ns,0\n"));
-        // The session column is never blank: standalone runs export 0.
-        assert!(csv.contains("wire.0.session,0\n"));
         let json = serde_json::to_string(&m.to_json_value()).expect("render");
         assert!(!json.contains("NaN"));
         assert!(json.contains("\"wire\""));
@@ -2249,11 +2140,6 @@ mod tests {
         let json = serde_json::to_string(&m.to_json_value()).expect("render metrics");
         assert!(json.contains("\"p2p_bytes\":7"));
         assert!(json.contains("\"plan\""));
-        let csv = m.to_csv();
-        assert!(csv.starts_with("metric,value\n"));
-        assert!(csv.contains("p2p_bytes,7\n"));
-        assert!(csv.contains("plan.count,1\n"));
-        assert!(csv.contains("kernels_by_worker.0,0\n"));
     }
 
     #[test]

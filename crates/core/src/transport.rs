@@ -221,10 +221,7 @@ pub enum CtrlMsg {
         payload: Vec<u8>,
     },
     /// Toggle worker-side telemetry recording. Sent to every worker when
-    /// the controller attaches (or detaches) a recorder; over the wire
-    /// this is a v2+ frame, silently skipped for v1 peers so a traced
-    /// controller degrades to controller-side-only spans against an
-    /// older worker.
+    /// the controller attaches (or detaches) a recorder.
     Observe {
         /// Record and stream telemetry when true.
         enabled: bool,
@@ -234,8 +231,7 @@ pub enum CtrlMsg {
     /// Log shipping (controller → standby controller): the planner's
     /// construction inputs, sent once before the first
     /// [`CtrlMsg::ShipOp`] so the standby can build the replica the ops
-    /// apply to. A worker receiving this ignores it (v3+ frame, never
-    /// sent to v2- peers).
+    /// apply to. A worker receiving this ignores it.
     ShipInit {
         /// Planner configuration of the shipping controller.
         cfg: PlannerConfig,
@@ -254,9 +250,7 @@ pub enum CtrlMsg {
     },
     /// Ask the worker to depart cleanly (elastic scale-in): it flushes
     /// buffered telemetry, acknowledges with [`WorkerMsg::Leave`] and
-    /// halts — the controlled counterpart of a SIGTERM. Over the wire this
-    /// is a v5+ frame, silently dropped for older workers (the caller's
-    /// leave timeout then falls back to a plain shutdown).
+    /// halts — the controlled counterpart of a SIGTERM.
     Leave,
     /// Transport housekeeping: the current peer address list, re-broadcast
     /// when membership grows so existing workers can dial P2P connections
@@ -271,14 +265,13 @@ pub enum CtrlMsg {
     /// worker, coalesced into a single wire frame (the multi-tenant
     /// control plane's `--batch` knob). The engine handles the inner
     /// messages in order, exactly as if they had arrived one frame each —
-    /// batching changes frame counts, never semantics. Over the wire this
-    /// is a v6+ frame; the mux only batches when every endpoint
-    /// negotiated v6. Nesting is not allowed (one level deep).
+    /// batching changes frame counts, never semantics. Nesting is not
+    /// allowed (one level deep).
     Batch(Vec<CtrlMsg>),
     /// Session teardown: drop the listed array copies and kernel
     /// registrations (a detached session's namespace-tagged state), plus
     /// any queued work referencing them. The worker keeps serving — the
-    /// fleet outlives every individual session. v6+ frame.
+    /// fleet outlives every individual session.
     Reclaim {
         /// Arrays to evict from the local store.
         arrays: Vec<ArrayId>,
@@ -380,9 +373,7 @@ pub enum WorkerMsg {
     /// is exiting deliberately. The transport marks the endpoint
     /// definitively dead — no suspect grace window, no resume attempts —
     /// and the runtime quarantines it like any other death, just without
-    /// waiting out the staleness threshold. Over the wire this is a v4+
-    /// frame, silently dropped for older controllers (which then fall
-    /// back to staleness detection).
+    /// waiting out the staleness threshold.
     Leave {
         /// The departing worker.
         worker: usize,

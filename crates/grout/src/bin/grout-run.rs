@@ -43,7 +43,7 @@ struct Cli {
     /// Write a merged Chrome/Perfetto trace here (controller lanes plus
     /// clock-aligned worker spans streamed back over the wire).
     trace_out: Option<PathBuf>,
-    /// Write the unified metrics artifact here (`.csv` → CSV, else JSON).
+    /// Write the unified metrics artifact (JSON) here.
     metrics_out: Option<PathBuf>,
     /// Print the per-peer wire summary table at end of run.
     stats: bool,
@@ -97,7 +97,7 @@ const USAGE: &str = "usage: grout-run <script.gs> | -e '<script>'
                --standby <addr>        act as the hot standby (listen + take over)
                --die-after-ops N       fault injection: SIGKILL self after N ops
   telemetry:   --trace-out <trace.json>        merged Chrome/Perfetto trace
-               --metrics-out <metrics.{json,csv}>  unified metrics artifact
+               --metrics-out <metrics.json>    unified metrics artifact
                --stats                 per-peer wire summary table";
 
 /// Parses the command line; `Ok(None)` means `--help` was served.
@@ -368,13 +368,7 @@ fn run_exec(cli: &Cli) -> Result<(), String> {
         eprintln!("[grout-run] trace written to {}", path.display());
     }
     if let Some(path) = &cli.metrics_out {
-        let metrics = pg.runtime().metrics();
-        let body = if path.extension().is_some_and(|e| e == "csv") {
-            metrics.to_csv()
-        } else {
-            metrics.to_json_string()
-        };
-        std::fs::write(path, body)
+        std::fs::write(path, pg.runtime().metrics().to_json_string())
             .map_err(|e| format!("cannot write metrics `{}`: {e}", path.display()))?;
         eprintln!("[grout-run] metrics written to {}", path.display());
     }

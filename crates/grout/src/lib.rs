@@ -37,8 +37,8 @@ pub use grout_core::{
     SharedPlacement, SimConfig, SimRuntime, SimTime, Telemetry,
 };
 pub use grout_net::{
-    apply_durability, http_get, serve, serve_shutdown, spawn_workerd, spawn_workerd_at,
-    ClientOutcome, CtldClient, DistBuilder, DistError, DistRuntime, HttpServer, Introspect,
-    SessionJournal, TcpConfig, TcpExt, TcpTransport, WorkerSpec,
+    apply_durability, http_get, serve_shutdown, spawn_workerd, spawn_workerd_at, ClientOutcome,
+    CtldClient, DistBuilder, DistError, DistRuntime, HttpServer, Introspect, SessionJournal,
+    TcpConfig, TcpExt, TcpTransport, WorkerSpec,
 };
 pub use grout_polyglot::{Language, Polyglot, Value};

@@ -4,7 +4,7 @@
 //! guest-script interpreter); this module holds everything protocol- and
 //! persistence-shaped:
 //!
-//! - the v6 client handshake ([`client_connect`] / [`accept_client`]),
+//! - the client handshake ([`client_connect`] / [`accept_client`]),
 //! - [`CtldClient`]: the typed connection `grout-run --connect` drives
 //!   (attach a script, stream [`CtldMsg`] frames back),
 //! - [`SessionJournal`]: the multi-session op journal — every planner
@@ -41,37 +41,27 @@ pub const SESSION_JOURNAL_VERSION: u16 = 1;
 // ---------------------------------------------------------------------------
 // Client handshake + typed connection.
 
-/// Dials a `grout-ctld` endpoint and performs the v6 client handshake.
-/// Fails against pre-v6 peers (and against `grout-workerd`, which drops
-/// client hellos).
+/// Dials a `grout-ctld` endpoint and performs the client handshake.
+/// Fails against a peer of any other wire version (and against
+/// `grout-workerd`, which drops client hellos).
 pub fn client_connect(addr: &str) -> Result<TcpStream, WireError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     wire::write_frame(&mut stream, &wire::encode_hello(&wire::Hello::Client))?;
     let ack = wire::read_frame(&mut stream)?
         .ok_or_else(|| WireError::Handshake("ctld closed during handshake".into()))?;
-    let ack = wire::decode_ack(&ack)?;
-    if ack.version < 6 {
-        return Err(WireError::Handshake(format!(
-            "peer speaks wire v{} but the client protocol needs v6",
-            ack.version
-        )));
-    }
+    wire::decode_ack(&ack)?;
     Ok(stream)
 }
 
 /// Server side of the client handshake: reads the hello off a freshly
-/// accepted socket, validates the role, and acks. Returns the client's
-/// announced wire version.
-pub fn accept_client(stream: &mut TcpStream) -> Result<u16, WireError> {
+/// accepted socket, validates the role, and acks.
+pub fn accept_client(stream: &mut TcpStream) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
     let hello = wire::read_frame(stream)?
         .ok_or_else(|| WireError::Handshake("client closed during handshake".into()))?;
     match wire::decode_hello(&hello)? {
-        (wire::Hello::Client, version) => {
-            wire::write_frame(stream, &wire::encode_ack(0))?;
-            Ok(version)
-        }
+        wire::Hello::Client => wire::write_frame(stream, &wire::encode_ack(0, false, 0)),
         _ => Err(WireError::Handshake(
             "expected a client hello (role 2)".into(),
         )),
@@ -227,11 +217,16 @@ pub fn read_session_journal(
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
     if raw.len() < 6 || raw[..4] != SESSION_JOURNAL_MAGIC {
-        return Err(WireError::Malformed("not a session journal"));
+        return Err(WireError::Handshake(format!(
+            "{} is not a session journal (bad magic)",
+            path.display()
+        )));
     }
     let version = u16::from_le_bytes([raw[4], raw[5]]);
-    if version == 0 || version > SESSION_JOURNAL_VERSION {
-        return Err(WireError::Malformed("session journal version"));
+    if version != SESSION_JOURNAL_VERSION {
+        return Err(WireError::Handshake(format!(
+            "session journal version {version}, this build reads {SESSION_JOURNAL_VERSION}"
+        )));
     }
     let mut cursor = &raw[6..];
     let mut per_session: BTreeMap<SessionId, Vec<(u64, PlannerOp)>> = BTreeMap::new();
@@ -288,6 +283,26 @@ mod tests {
         assert!(matches!(
             back[&SessionId(2)][0].1,
             PlannerOp::Alloc { bytes: 128 }
+        ));
+
+        // The header is strict, like the single-tenant journal's: any
+        // other version or magic is a typed reject naming what was found.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[4..6].copy_from_slice(&(SESSION_JOURNAL_VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        match read_session_journal(&path) {
+            Err(WireError::Handshake(msg)) => assert!(
+                msg.contains(&format!("version {}", SESSION_JOURNAL_VERSION + 1))
+                    && msg.contains(&format!("reads {SESSION_JOURNAL_VERSION}")),
+                "{msg}"
+            ),
+            other => panic!("expected a version reject, got {other:?}"),
+        }
+        raw[0] = b'X';
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            read_session_journal(&path),
+            Err(WireError::Handshake(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,19 +8,19 @@
 //! *processes* (`grout-workerd`) with length-prefixed frames over
 //! `std::net` sockets — no async runtime, no external dependencies.
 //!
-//! - [`wire`]: framing, versioned handshake and the hand-rolled binary
+//! - [`wire`]: framing, strict-version handshake and the hand-rolled binary
 //!   codec for the controller↔worker message vocabulary,
 //! - [`TcpTransport`]: the controller side — reader threads, heartbeat
 //!   liveness, the startup bandwidth-probe round feeding the scheduler's
 //!   measured [`LinkMatrix`](grout_core::LinkMatrix),
-//! - [`serve`]: the worker side — the body of the `grout-workerd` binary,
+//! - [`serve_shutdown`]: the worker side — the body of the `grout-workerd` binary,
 //!   hosting the very same [`WorkerEngine`](grout_core::WorkerEngine) the
 //!   in-process threads run,
 //! - [`TcpExt`]/[`DistRuntime`]: the front-end gluing it onto
 //!   [`Runtime::builder()`](grout_core::Runtime::builder),
 //! - [`oplog`]: the crash-recovery journal and hot-standby log shipping
 //!   built on the planner's replicated op log,
-//! - [`ctld`]: the `grout-ctld` client protocol (wire-v6 `Hello::Client`
+//! - [`ctld`]: the `grout-ctld` client protocol (`Hello::Client`
 //!   handshake, [`CtldClient`]) and the session-tagged multi-tenant op
 //!   journal,
 //! - [`http`]: the hand-rolled HTTP/1.0 responder behind `--http` — the
@@ -55,4 +55,4 @@ pub use oplog::{
     read_journal, standby_serve, Journal, JournalFooter, JournalSink, ShipSink, StandbyOutcome,
 };
 pub use transport::{TcpConfig, TcpTransport};
-pub use worker::{serve, serve_shutdown};
+pub use worker::serve_shutdown;

@@ -412,7 +412,7 @@ pub fn standby_serve(listener: &TcpListener) -> Result<StandbyOutcome, WireError
     let hello = wire::read_frame(&mut stream)?
         .ok_or_else(|| WireError::Handshake("primary closed during handshake".into()))?;
     match wire::decode_hello(&hello)? {
-        (wire::Hello::Controller { total: 0, .. }, _) => {}
+        wire::Hello::Controller { total: 0, .. } => {}
         _ => {
             return Err(WireError::Handshake(
                 "expected a log-shipping controller hello (total == 0)".into(),

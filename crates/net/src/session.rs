@@ -1,5 +1,4 @@
-//! The reliable-session layer under wire v4: [`SendBuffer`] and
-//! [`RecvCursor`].
+//! The reliable-session layer: [`SendBuffer`] and [`RecvCursor`].
 //!
 //! Controller↔worker sockets carry two kinds of post-handshake frames
 //! (see [`crate::wire::Envelope`]): *ephemeral* frames (heartbeats, clock

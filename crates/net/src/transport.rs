@@ -21,36 +21,35 @@
 //! cannot deadlock — unlike the previous design, which joined a reader
 //! thread while holding connection state.
 //!
-//! ## Reliable sessions (wire v4)
+//! ## Reliable sessions
 //!
-//! Against a v4 worker every post-handshake frame is an
-//! [`wire::Envelope`]: plan traffic rides *reliable* frames (sequenced,
-//! buffered in a [`SendBuffer`] until cumulatively acked, deduplicated by
-//! a [`RecvCursor`]); heartbeats, clock sync and session acks ride
-//! *ephemeral* frames. A dead socket no longer kills the worker — the
-//! connection enters a *resuming* state: sends buffer, reconnect attempts
-//! run with exponential backoff inside [`TcpConfig::reconnect_window`],
-//! and a successful resume handshake (same session id, both cursors
-//! exchanged) replays the unacked tails in both directions. The runtime
-//! sees [`Liveness::Suspect`] while resuming — new CEs avoid the node —
-//! and only a blown window (or a worker that lost its session state)
-//! degrades to [`Liveness::Dead`] and the quarantine + lineage-replay
-//! path. Liveness combines socket state and staleness: a SIGKILLed
-//! process is caught by EOF within milliseconds, a wedged-but-connected
-//! one (SIGSTOP, network partition) by missed heartbeats
-//! ([`TcpConfig::stale_after_beats`] × cadence), which severs the socket
-//! and enters the same resume path.
+//! Every post-handshake frame is a [`wire::Envelope`]: plan traffic rides
+//! *reliable* frames (sequenced, buffered in a [`SendBuffer`] until
+//! cumulatively acked, deduplicated by a [`RecvCursor`]); heartbeats,
+//! clock sync and session acks ride *ephemeral* frames. A dead socket
+//! does not kill the worker — the connection enters a *resuming* state:
+//! sends buffer, reconnect attempts run with exponential backoff inside
+//! [`TcpConfig::reconnect_window`], and a successful resume handshake
+//! (same session id, both cursors exchanged) replays the unacked tails in
+//! both directions. The runtime sees [`Liveness::Suspect`] while
+//! resuming — new CEs avoid the node — and only a blown window (or a
+//! worker that lost its session state) degrades to [`Liveness::Dead`]
+//! and the quarantine + lineage-replay path. Liveness combines socket
+//! state and staleness: a SIGKILLed process is caught by EOF within
+//! milliseconds, a wedged-but-connected one (SIGSTOP, network partition)
+//! by missed heartbeats ([`TcpConfig::stale_after_beats`] × cadence),
+//! which severs the socket and enters the same resume path.
 //!
-//! ## Elastic membership (wire v5)
+//! ## Elastic membership
 //!
 //! [`Transport::join`] dials a fresh worker while the mesh is live: the
 //! newcomer is handshaken with the grown peer list, registered with the
-//! event loop under the next index, and every existing v5 worker receives
-//! a [`CtrlMsg::Peers`] update so P2P traffic reaches the new endpoint.
+//! event loop under the next index, and every existing worker receives a
+//! [`CtrlMsg::Peers`] update so P2P traffic reaches the new endpoint.
 //! [`Transport::probe_joined`] then re-prices just the links touching the
 //! newcomer, reusing the startup probe machinery. A clean departure rides
 //! [`CtrlMsg::Leave`] (the worker flushes, acks with [`WorkerMsg::Leave`]
-//! and exits); both frames are silently skipped against pre-v5 peers.
+//! and exits).
 //!
 //! Construction runs the startup bandwidth-probe round of the paper's
 //! min-transfer-time policy: timed ballast echoes controller↔worker and
@@ -177,9 +176,9 @@ struct ConnShared {
     departed: AtomicBool,
     /// Stamped by the loop on every inbound frame.
     last_seen: Mutex<Instant>,
-    /// Outbound reliable frames awaiting cumulative ack (v4 only).
+    /// Outbound reliable frames awaiting cumulative ack.
     send_buf: Mutex<SendBuffer>,
-    /// Inbound reliable-frame dedupe cursor (v4 only).
+    /// Inbound reliable-frame dedupe cursor.
     recv_cursor: Mutex<RecvCursor>,
     stats: ConnStats,
 }
@@ -213,13 +212,11 @@ enum Cmd {
     Register {
         w: usize,
         stream: TcpStream,
-        v4: bool,
         shared: Arc<ConnShared>,
     },
     /// Queue one already-sealed payload (length prefix added by the write
     /// queue) for worker `w`. Silently dropped when the socket is gone —
-    /// under v4 the frame lives in the send window and a resume replays
-    /// it.
+    /// the frame lives in the send window and a resume replays it.
     Send { w: usize, frame: Vec<u8> },
     /// Drop worker `w`'s socket after a bounded blocking flush of its
     /// write queue, then reply. When the reply arrives the loop has
@@ -235,7 +232,6 @@ struct Slot {
     stream: TcpStream,
     frames: FrameBuf,
     wq: WriteQueue,
-    v4: bool,
     shared: Arc<ConnShared>,
 }
 
@@ -267,9 +263,6 @@ struct Conn {
     shared: Arc<ConnShared>,
     /// The `grout-workerd` child when this transport spawned it.
     child: Option<Child>,
-    /// The worker's announced wire version (version-gated traffic is
-    /// skipped for older peers).
-    peer_version: u16,
     /// The worker's listen address, kept for resume re-dials and rejoin.
     addr: String,
     /// `Some` while the connection is severed and retrying.
@@ -335,39 +328,28 @@ impl TcpTransport {
             let shared = Arc::new(ConnShared::fresh());
             let child = children[i].take();
             match Self::adopt(i, addr, addrs, cfg.heartbeat, session_id, None) {
-                Ok((stream, ack)) => {
+                Ok((stream, _)) => {
                     let _ = cmd_tx.send(Cmd::Register {
                         w: i,
                         stream,
-                        v4: ack.version >= 4,
                         shared: Arc::clone(&shared),
                     });
                     wake.wake();
-                    conns.push(Conn {
-                        shared,
-                        child,
-                        peer_version: ack.version,
-                        addr: addr.clone(),
-                        resuming: None,
-                        ctrl_frames: 0,
-                        partition_until: None,
-                    });
                 }
                 Err(e) => {
                     shared.open.store(false, Ordering::SeqCst);
                     shared.link_up.store(false, Ordering::SeqCst);
                     failures.push((i, e.to_string()));
-                    conns.push(Conn {
-                        shared,
-                        child,
-                        peer_version: wire::WIRE_VERSION,
-                        addr: addr.clone(),
-                        resuming: None,
-                        ctrl_frames: 0,
-                        partition_until: None,
-                    });
                 }
             }
+            conns.push(Conn {
+                shared,
+                child,
+                addr: addr.clone(),
+                resuming: None,
+                ctrl_frames: 0,
+                partition_until: None,
+            });
         }
         let mut t = TcpTransport {
             conns,
@@ -401,7 +383,7 @@ impl TcpTransport {
     }
 
     /// Dial + handshake one worker endpoint; returns the stream and the
-    /// worker's ack (version, resume outcome, cursor).
+    /// worker's ack (resume outcome, cursor).
     fn adopt(
         index: usize,
         addr: &str,
@@ -435,10 +417,6 @@ impl TcpTransport {
         }
         stream.set_read_timeout(None)?;
         Ok((stream, ack))
-    }
-
-    fn v4(&self, w: usize) -> bool {
-        self.conns[w].peer_version >= 4
     }
 
     /// Severs the socket of worker `w` (if any) via the loop rendezvous —
@@ -579,7 +557,6 @@ impl TcpTransport {
         self.cmd(Cmd::Register {
             w,
             stream,
-            v4: true,
             shared: Arc::clone(shared),
         });
         self.conns[w].resuming = None;
@@ -749,7 +726,6 @@ enum ResumeFail {
 fn handle_payload(
     worker: usize,
     inner: Vec<u8>,
-    v4: bool,
     out: &Sender<WorkerMsg>,
     shared: &ConnShared,
     wq: &mut WriteQueue,
@@ -760,12 +736,7 @@ fn handle_payload(
         Some(wire::CLOCK_PING_TAG) => {
             let t2 = monotonic_ns();
             if let Ok((_, t1)) = wire::decode_clock_ping(&inner) {
-                let pong = wire::encode_clock_pong(t1, t2);
-                let framed = if v4 {
-                    wire::seal_ephemeral(&pong)
-                } else {
-                    pong
-                };
+                let framed = wire::seal_ephemeral(&wire::encode_clock_pong(t1, t2));
                 shared.count_write(framed.len());
                 wq.enqueue(&framed);
             }
@@ -818,9 +789,6 @@ fn handle_payload(
         Err(e) => {
             eprintln!("[grout-net] worker {worker}: {e}; closing");
             shared.link_up.store(false, Ordering::SeqCst);
-            if !v4 {
-                shared.open.store(false, Ordering::SeqCst);
-            }
             false
         }
     }
@@ -836,12 +804,9 @@ fn process_frame(worker: usize, raw: Vec<u8>, slot: &mut Slot, out: &Sender<Work
         .stats
         .bytes_recv
         .fetch_add(raw.len() as u64 + 4, Ordering::Relaxed);
-    if !slot.v4 {
-        return handle_payload(worker, raw, false, out, shared, &mut slot.wq);
-    }
     match wire::open_envelope(raw) {
         Ok(wire::Envelope::Ephemeral(inner)) => {
-            handle_payload(worker, inner, true, out, shared, &mut slot.wq)
+            handle_payload(worker, inner, out, shared, &mut slot.wq)
         }
         Ok(wire::Envelope::Reliable { seq, payload }) => {
             let (ready, ack_due, cursor) = {
@@ -852,7 +817,7 @@ fn process_frame(worker: usize, raw: Vec<u8>, slot: &mut Slot, out: &Sender<Work
                 (ready, before / ACK_EVERY != after / ACK_EVERY, after)
             };
             for p in ready {
-                if !handle_payload(worker, p, true, out, shared, &mut slot.wq) {
+                if !handle_payload(worker, p, out, shared, &mut slot.wq) {
                     return false;
                 }
             }
@@ -893,9 +858,6 @@ fn drain_slot(worker: usize, slot: &mut Slot, out: &Sender<WorkerMsg>) -> bool {
     }
     if !open {
         slot.shared.link_up.store(false, Ordering::SeqCst);
-        if !slot.v4 {
-            slot.shared.open.store(false, Ordering::SeqCst);
-        }
         return false;
     }
     if slot.wq.flush(&mut slot.stream).is_err() {
@@ -946,12 +908,7 @@ fn io_loop(waker: Waker, cmd_rx: Receiver<Cmd>, out: Sender<WorkerMsg>) {
         let mut shutting_down = false;
         while let Ok(cmd) = cmd_rx.try_recv() {
             match cmd {
-                Cmd::Register {
-                    w,
-                    stream,
-                    v4,
-                    shared,
-                } => {
+                Cmd::Register { w, stream, shared } => {
                     if stream.set_nonblocking(true).is_err() {
                         shared.link_up.store(false, Ordering::SeqCst);
                         continue;
@@ -962,7 +919,6 @@ fn io_loop(waker: Waker, cmd_rx: Receiver<Cmd>, out: Sender<WorkerMsg>) {
                             stream,
                             frames: FrameBuf::new(),
                             wq: WriteQueue::new(),
-                            v4,
                             shared,
                         },
                     );
@@ -976,9 +932,8 @@ fn io_loop(waker: Waker, cmd_rx: Receiver<Cmd>, out: Sender<WorkerMsg>) {
                             slots.remove(&w);
                         }
                     }
-                    // No slot: the link is down. Under v4 the frame is in
-                    // the send window and a resume replays it; under the
-                    // legacy protocol the loss is surfaced by liveness.
+                    // No slot: the link is down. The frame is in the send
+                    // window and a resume replays it.
                 }
                 Cmd::Sever { w, reply } => {
                     if let Some(mut slot) = slots.remove(&w) {
@@ -1033,38 +988,7 @@ impl Transport for TcpTransport {
         if sh.departed.load(Ordering::SeqCst) || !sh.open.load(Ordering::SeqCst) {
             return Err(SendLost);
         }
-        // Version-gated traffic silently degrades against an older
-        // worker: a v1 peer can run every plan, it just cannot stream
-        // telemetry; a v2 peer cannot receive log-shipping frames (which
-        // only ever target a standby controller anyway); a pre-v5 peer
-        // knows no membership frames — a Leave caller falls back to a
-        // plain shutdown, and a missed Peers update only matters if the
-        // old worker later targets the newcomer (it cannot: pre-v5 peers
-        // predate elastic joins).
-        let pv = self.conns[worker].peer_version;
-        if matches!(msg, CtrlMsg::Observe { .. }) && pv < 2 {
-            return Ok(());
-        }
-        if matches!(msg, CtrlMsg::ShipInit { .. } | CtrlMsg::ShipOp { .. }) && pv < 3 {
-            return Ok(());
-        }
-        if matches!(msg, CtrlMsg::Leave | CtrlMsg::Peers { .. }) && pv < 5 {
-            return Ok(());
-        }
         let payload = wire::encode_ctrl(&msg);
-        if !self.v4(worker) {
-            // Legacy path: bare frame, no session layer, socket death is
-            // definitive. The loop detects a failed write asynchronously;
-            // the next send/liveness call observes the downed link.
-            if !self.endpoint_usable(worker) {
-                return Err(SendLost);
-            }
-            self.cmd(Cmd::Send {
-                w: worker,
-                frame: payload,
-            });
-            return Ok(());
-        }
 
         // Deterministic chaos, keyed on the logical frame index so
         // injection points never shift when an earlier fault fires.
@@ -1148,12 +1072,6 @@ impl Transport for TcpTransport {
         if sh.departed.load(Ordering::SeqCst) || !sh.open.load(Ordering::SeqCst) {
             return Liveness::Dead;
         }
-        if !self.v4(worker) {
-            // Legacy liveness: socket + staleness, dead is dead.
-            let up = sh.link_up.load(Ordering::SeqCst)
-                && sh.last_seen.lock().expect("last_seen lock").elapsed() < self.stale_after;
-            return if up { Liveness::Alive } else { Liveness::Dead };
-        }
         if self.conns[worker].resuming.is_some() {
             return self.try_resume(worker);
         }
@@ -1187,16 +1105,14 @@ impl Transport for TcpTransport {
             self.session_id,
             None,
         ) {
-            Ok((stream, ack)) => {
+            Ok((stream, _)) => {
                 let shared = Arc::new(ConnShared::fresh());
                 self.cmd(Cmd::Register {
                     w: worker,
                     stream,
-                    v4: ack.version >= 4,
                     shared: Arc::clone(&shared),
                 });
                 self.conns[worker].shared = shared;
-                self.conns[worker].peer_version = ack.version;
                 self.conns[worker].resuming = None;
                 self.conns[worker].partition_until = None;
                 true
@@ -1213,26 +1129,24 @@ impl Transport for TcpTransport {
         let mut peers = self.peer_addrs.clone();
         peers.push(addr.to_string());
         let shared = Arc::new(ConnShared::fresh());
-        let (stream, ack) = Self::adopt(w, addr, &peers, self.heartbeat, self.session_id, None)
+        let (stream, _) = Self::adopt(w, addr, &peers, self.heartbeat, self.session_id, None)
             .map_err(|e| format!("join {addr}: {e}"))?;
         self.peer_addrs = peers;
         self.cmd(Cmd::Register {
             w,
             stream,
-            v4: ack.version >= 4,
             shared: Arc::clone(&shared),
         });
         self.conns.push(Conn {
             shared,
             child: None,
-            peer_version: ack.version,
             addr: addr.to_string(),
             resuming: None,
             ctrl_frames: 0,
             partition_until: None,
         });
         // Tell every existing worker the grown peer list so P2P traffic
-        // reaches the newcomer (v5-gated inside send()).
+        // reaches the newcomer.
         let update = CtrlMsg::Peers {
             addrs: self.peer_addrs.clone(),
         };
@@ -1276,11 +1190,9 @@ impl Transport for TcpTransport {
         // dead. The Sever rendezvous drains the write queue (bounded)
         // before closing, so the frame gets out to a live worker.
         let payload = wire::encode_ctrl(&CtrlMsg::Shutdown);
-        let frame = if self.v4(worker) {
+        let frame = {
             let mut sb = self.conns[worker].shared.send_buf.lock().expect("send_buf");
             sb.seal(&payload)
-        } else {
-            payload
         };
         self.cmd(Cmd::Send { w: worker, frame });
         self.rendezvous_drop(worker);

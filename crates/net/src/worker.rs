@@ -1,4 +1,4 @@
-//! The worker side of the TCP mesh: [`serve`], the body of the
+//! The worker side of the TCP mesh: [`serve_shutdown`], the body of the
 //! `grout-workerd` binary.
 //!
 //! One process hosts one [`WorkerEngine`] — the same transport-agnostic
@@ -18,23 +18,25 @@
 //!   each worker pair gets its own one-way socket, which avoids any
 //!   dial/dial race without a connection-brokering protocol.
 //!
-//! ## Session resume (wire v4) and re-adoption
+//! ## Session resume and re-adoption
 //!
 //! Every accepted socket is classified by its hello, so a controller
-//! hello is welcome at any time, not just first. Against a v4 controller
-//! the session is *resumable*: losing the controller socket parks the
-//! session — the engine, both reliable-stream cursors and the outbound
-//! peer sockets survive — and the worker keeps driving peer traffic
-//! through the parked engine, buffering controller-bound output in its
-//! [`SendBuffer`]. A controller hello carrying the same session id and a
-//! resume cursor revives the parked session: the worker acks with its own
-//! receive cursor, both sides replay their unacked tails, and the run
-//! continues as if the socket had never died. A hello *without* a resume
-//! cursor (a fresh adoption — standby takeover, or a rejoin after
-//! quarantine) discards any parked state and starts a clean session, as
-//! does any hello from a pre-v4 controller.
+//! hello is welcome at any time, not just first. Every session is
+//! *resumable*: losing the controller socket parks the session — the
+//! engine, both reliable-stream cursors and the outbound peer sockets
+//! survive — and the worker keeps driving peer traffic through the parked
+//! engine, buffering controller-bound output in its [`SendBuffer`]. A
+//! controller hello carrying the same session id and a resume cursor
+//! revives the parked session: the worker acks with its own receive
+//! cursor, both sides replay their unacked tails, and the run continues
+//! as if the socket had never died. A hello *without* a resume cursor (a
+//! fresh adoption — standby takeover, or a rejoin after quarantine)
+//! discards any parked state and starts a clean session. A hello that
+//! does not decode (wrong wire version, bad magic) is logged as
+//! `handshake_rejected` and its socket dropped; the endpoint stays
+//! adoptable.
 //!
-//! ## Elastic membership (wire v5)
+//! ## Elastic membership
 //!
 //! [`CtrlMsg::Peers`] re-announces the (grown) peer address list when a
 //! worker joins the mesh mid-run; the session extends its outbound peer
@@ -69,37 +71,13 @@ const MAX_POLL: Duration = Duration::from_millis(200);
 /// dead one must not wedge the process).
 const EXIT_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// A controller connection classified from an accepted socket.
-struct Adoption {
-    stream: TcpStream,
-    /// Bytes that arrived after the hello in the same read.
-    carry: FrameBuf,
-    me: usize,
-    total: usize,
-    heartbeat_ms: u32,
-    peers: Vec<String>,
-    version: u16,
-    /// The controller instance's session id (v4; 0 from older peers).
-    session_id: u64,
-    /// `Some(cursor)` = resume request: the controller has every reliable
-    /// frame below `cursor` and wants the rest replayed.
-    resume: Option<u64>,
-}
-
 /// The live controller socket plus its timers and buffers.
 struct CtrlSock {
     stream: TcpStream,
     frames: FrameBuf,
     wq: WriteQueue,
-    version: u16,
     cadence: Duration,
     next_beat: Instant,
-}
-
-impl CtrlSock {
-    fn v4(&self) -> bool {
-        self.version >= 4
-    }
 }
 
 /// An accepted socket whose hello has not fully arrived yet.
@@ -120,7 +98,6 @@ struct PeerIn {
 struct Session {
     session_id: u64,
     me: usize,
-    v4: bool,
     engine: WorkerEngine,
     /// Outbound reliable frames awaiting cumulative ack — and the replay
     /// source on resume.
@@ -134,11 +111,10 @@ struct Session {
 }
 
 impl Session {
-    fn fresh(a: &Adoption) -> Session {
+    fn fresh(a: &CtrlHello) -> Session {
         Session {
             session_id: a.session_id,
             me: a.me,
-            v4: a.version >= 4,
             engine: WorkerEngine::new(a.me),
             send_buf: SendBuffer::default(),
             recv_cursor: RecvCursor::new(),
@@ -170,47 +146,28 @@ impl Session {
         self.peer_addrs = addrs;
     }
 
-    /// Drives one message through the engine while no controller socket
-    /// exists: controller-bound output is sealed into the send buffer
-    /// (replayed on resume), peer output flows normally.
-    fn handle_offline(&mut self, msg: CtrlMsg) {
-        let Session {
-            me,
-            engine,
-            send_buf,
-            peer_addrs,
-            peer_out,
-            ..
-        } = self;
-        let me = *me;
-        let _ = engine.handle(msg, &mut |o| match o {
-            Outbound::Controller(m) => {
-                let payload = wire::encode_worker(&m);
-                send_buf.seal(&payload);
-            }
-            Outbound::Peer(j, m) => send_to_peer(me, j, peer_addrs, peer_out, &m),
-        });
-    }
-
-    /// Telemetry flush tick while parked: batches land in the send
-    /// buffer and ship on resume.
-    fn flush_offline(&mut self) {
+    /// Telemetry flush tick: ship buffered spans even when no plan
+    /// traffic arrives to trigger a flush (into the send buffer only
+    /// while parked).
+    fn flush_telemetry(&mut self, mut wq: Option<&mut WriteQueue>) {
         let Session {
             engine, send_buf, ..
         } = self;
         engine.flush_telemetry(&mut |o| {
             if let Outbound::Controller(m) = o {
-                let payload = wire::encode_worker(&m);
-                send_buf.seal(&payload);
+                to_controller(send_buf, wq.as_deref_mut(), &m);
             }
         });
     }
 }
 
-/// Serves one worker endpoint on `listener` until a clean shutdown.
-/// Equivalent to [`serve_shutdown`] with a flag that never fires.
-pub fn serve(listener: TcpListener) -> Result<(), wire::WireError> {
-    serve_shutdown(listener, Arc::new(AtomicBool::new(false)))
+/// Seals one controller-bound message into the send window and queues it
+/// on the controller socket, if there is one.
+fn to_controller(send_buf: &mut SendBuffer, wq: Option<&mut WriteQueue>, m: &WorkerMsg) {
+    let framed = send_buf.seal(&wire::encode_worker(m));
+    if let Some(wq) = wq {
+        wq.enqueue(&framed);
+    }
 }
 
 /// What one dispatched message asks of the serve loop.
@@ -220,7 +177,7 @@ enum Step {
     /// Clean exit (Shutdown frame, Leave, engine halt).
     Exit,
     /// The controller socket is gone (EOF, write error, bad frame): park
-    /// the session (v4) or drop it and wait to be adopted again.
+    /// the session until a resume or a fresh adoption.
     CtrlGone,
 }
 
@@ -236,10 +193,9 @@ enum Step {
 /// `poll(2)` loop — a 64-worker host runs 64 serve threads, not hundreds
 /// of per-socket ones.
 ///
-/// Survives controller loss: a v4 session is parked and can be resumed by
-/// a controller hello carrying the same session id (see the module docs);
-/// a pre-v4 session is dropped and the process waits for the next
-/// adoption. Errors only if the listener itself dies.
+/// Survives controller loss: the session is parked and can be resumed by
+/// a controller hello carrying the same session id (see the module docs).
+/// Errors only if the listener itself dies.
 pub fn serve_shutdown(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
@@ -347,7 +303,7 @@ pub fn serve_shutdown(
                         }
                         return Ok(());
                     }
-                    Step::CtrlGone => ctrl_gone(&mut ctrl, &mut session),
+                    Step::CtrlGone => ctrl_gone(&mut ctrl, &session),
                 }
             }
         }
@@ -362,7 +318,7 @@ pub fn serve_shutdown(
             verdicts.push((i, classify(p)));
         }
         for (i, verdict) in verdicts.into_iter().rev() {
-            let mut p = pending.swap_remove(i);
+            let p = pending.swap_remove(i);
             match verdict {
                 Classified::NotYet => {
                     pending.push(p); // hello still incomplete; keep waiting
@@ -392,20 +348,8 @@ pub fn serve_shutdown(
                     peers_in.push(peer);
                 }
                 Classified::Controller(hello) => {
-                    let a = Adoption {
-                        stream: p.stream,
-                        carry: std::mem::take(&mut p.frames),
-                        me: hello.me,
-                        total: hello.total,
-                        heartbeat_ms: hello.heartbeat_ms,
-                        peers: hello.peers,
-                        version: hello.version,
-                        session_id: hello.session_id,
-                        resume: hello.resume,
-                    };
-                    match adopt(a, &mut session, &mut ctrl) {
-                        Step::Exit => return Ok(()),
-                        Step::Continue | Step::CtrlGone => {}
+                    if adopt(p.stream, p.frames, *hello, &mut session, &mut ctrl) == Step::Exit {
+                        return Ok(());
                     }
                 }
             }
@@ -454,21 +398,20 @@ pub fn serve_shutdown(
                     c.next_beat += c.cadence;
                 }
                 if c.wq.flush(&mut c.stream).is_err() {
-                    ctrl_gone(&mut ctrl, &mut session);
+                    ctrl_gone(&mut ctrl, &session);
                 }
             }
         }
         if now >= next_flush {
             next_flush = now + TELEMETRY_FLUSH_TICK;
-            match (ctrl.as_mut(), session.as_mut()) {
-                (Some(c), Some(s)) => {
-                    flush_telemetry_online(c, s);
-                    if c.wq.flush(&mut c.stream).is_err() {
-                        ctrl_gone(&mut ctrl, &mut session);
-                    }
-                }
-                (None, Some(s)) => s.flush_offline(),
-                _ => {}
+            if let Some(s) = session.as_mut() {
+                s.flush_telemetry(ctrl.as_mut().map(|c| &mut c.wq));
+            }
+            if ctrl
+                .as_mut()
+                .is_some_and(|c| c.wq.flush(&mut c.stream).is_err())
+            {
+                ctrl_gone(&mut ctrl, &session);
             }
         }
     }
@@ -480,8 +423,10 @@ struct CtrlHello {
     total: usize,
     heartbeat_ms: u32,
     peers: Vec<String>,
-    version: u16,
+    /// The controller instance's session id.
     session_id: u64,
+    /// `Some(cursor)` = resume request: the controller has every reliable
+    /// frame below `cursor` and wants the rest replayed.
     resume: Option<u64>,
 }
 
@@ -489,7 +434,7 @@ struct CtrlHello {
 enum Classified {
     /// Hello incomplete; keep the socket pending.
     NotYet,
-    /// EOF, error or garbage hello; drop the socket.
+    /// EOF, error or rejected hello; drop the socket.
     Drop,
     Peer {
         from: usize,
@@ -499,53 +444,70 @@ enum Classified {
 
 fn classify(p: &mut Pending) -> Classified {
     let open = matches!(read_available(&mut p.stream, &mut p.frames), Ok(true));
-    match p.frames.next_frame() {
-        Ok(Some(hello)) => match wire::decode_hello(&hello) {
-            Ok((wire::Hello::Peer { from }, _)) => Classified::Peer { from },
-            Ok((
-                wire::Hello::Controller {
-                    index,
-                    total,
-                    heartbeat_ms,
-                    peers,
-                    session_id,
-                    resume,
-                },
-                version,
-            )) => Classified::Controller(Box::new(CtrlHello {
+    let hello = match p.frames.next_frame() {
+        Ok(Some(hello)) => wire::decode_hello(&hello),
+        Ok(None) if open => return Classified::NotYet,
+        Ok(None) => return Classified::Drop, // closed before any hello
+        Err(e) => Err(e.into()),
+    };
+    let reason = match hello {
+        Ok(wire::Hello::Peer { from }) => return Classified::Peer { from },
+        Ok(wire::Hello::Controller {
+            index,
+            total,
+            heartbeat_ms,
+            peers,
+            session_id,
+            resume,
+        }) => {
+            return Classified::Controller(Box::new(CtrlHello {
                 me: index,
                 total,
                 heartbeat_ms,
                 peers,
-                version,
                 session_id,
                 resume,
-            })),
-            // Tenant clients belong on a `grout-ctld` control plane, not
-            // on a worker's data plane.
-            Ok((wire::Hello::Client, _)) => Classified::Drop,
-            Err(_) => Classified::Drop,
-        },
-        Ok(None) => {
-            if open {
-                Classified::NotYet
-            } else {
-                Classified::Drop
-            }
+            }))
         }
-        Err(_) => Classified::Drop,
-    }
+        // Tenant clients belong on a `grout-ctld` control plane, not on a
+        // worker's data plane.
+        Ok(wire::Hello::Client) => "client hello on a worker endpoint".to_string(),
+        Err(e) => e.to_string(),
+    };
+    // The dialer only sees "closed during handshake"; say why here, so a
+    // version-skewed fleet is diagnosable from this side's log.
+    let peer = p
+        .stream
+        .peer_addr()
+        .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
+    let msg = format!("[grout-workerd] rejected handshake from {peer}: {reason}");
+    log().warn(
+        "handshake_rejected",
+        None,
+        &msg,
+        &[
+            ("peer_addr", Value::String(peer)),
+            ("reason", Value::String(reason)),
+        ],
+    );
+    Classified::Drop
 }
 
 /// Handles a controller hello: fresh adoption, in-place session revival,
 /// or supersession of the current socket. On success `ctrl` holds the
 /// new socket with the handshake ack (and any resume replay) queued.
-fn adopt(a: Adoption, session: &mut Option<Session>, ctrl: &mut Option<CtrlSock>) -> Step {
-    let resumable = a.version >= 4
-        && a.resume.is_some()
+/// `carry` holds bytes that arrived behind the hello in the same read.
+fn adopt(
+    mut stream: TcpStream,
+    carry: FrameBuf,
+    a: CtrlHello,
+    session: &mut Option<Session>,
+    ctrl: &mut Option<CtrlSock>,
+) -> Step {
+    let resumable = a.resume.is_some()
         && session
             .as_ref()
-            .is_some_and(|s| s.v4 && s.session_id == a.session_id);
+            .is_some_and(|s| s.session_id == a.session_id);
     if !resumable {
         *session = Some(Session::fresh(&a));
     }
@@ -561,7 +523,7 @@ fn adopt(a: Adoption, session: &mut Option<Session>, ctrl: &mut Option<CtrlSock>
         let cursor = a.resume.expect("resume cursor");
         match s.send_buf.replay_from(cursor) {
             Some(frames) => {
-                wq.enqueue(&wire::encode_ack_ex(s.me, true, s.recv_cursor.cursor()));
+                wq.enqueue(&wire::encode_ack(s.me, true, s.recv_cursor.cursor()));
                 for f in &frames {
                     wq.enqueue(f);
                 }
@@ -572,15 +534,14 @@ fn adopt(a: Adoption, session: &mut Option<Session>, ctrl: &mut Option<CtrlSock>
                 // session can never resume losslessly. Tell the
                 // controller (it goes to quarantine + fresh rejoin) and
                 // drop the socket; the session stays parked.
-                let mut stream = a.stream;
                 let mut t = WriteQueue::new();
-                t.enqueue(&wire::encode_ack_ex(s.me, false, s.recv_cursor.cursor()));
+                t.enqueue(&wire::encode_ack(s.me, false, s.recv_cursor.cursor()));
                 let _ = t.flush(&mut stream);
                 return Step::CtrlGone;
             }
         }
     } else {
-        wq.enqueue(&wire::encode_ack_ex(s.me, false, s.recv_cursor.cursor()));
+        wq.enqueue(&wire::encode_ack(s.me, false, s.recv_cursor.cursor()));
         false
     };
     // The "adopted by controller" phrasing inside `msg` is a stable
@@ -596,29 +557,28 @@ fn adopt(a: Adoption, session: &mut Option<Session>, ctrl: &mut Option<CtrlSock>
             "[grout-workerd w{}] {} controller (wire v{}, {} workers, heartbeat {}ms{})",
             s.me,
             if resumed { "resumed" } else { "adopted by" },
-            a.version,
+            wire::WIRE_VERSION,
             a.total,
             a.heartbeat_ms,
             if resumed { ", session revived" } else { "" },
         ),
         &[
             ("worker", Value::U64(s.me as u64)),
-            ("wire_version", Value::U64(a.version as u64)),
+            ("wire_version", Value::U64(wire::WIRE_VERSION as u64)),
             ("total_workers", Value::U64(a.total as u64)),
         ],
     );
     let mut c = CtrlSock {
-        stream: a.stream,
-        frames: a.carry,
+        stream,
+        frames: carry,
         wq,
-        version: a.version,
         cadence: Duration::from_millis(a.heartbeat_ms.max(1) as u64),
         // Beat immediately so even a run shorter than one cadence yields
         // an RTT sample.
         next_beat: Instant::now(),
     };
     if c.wq.flush(&mut c.stream).is_err() {
-        ctrl_gone_inner(session);
+        log_parked(session);
         return Step::CtrlGone;
     }
     // Frames may have ridden in behind the hello (none today — the
@@ -628,45 +588,28 @@ fn adopt(a: Adoption, session: &mut Option<Session>, ctrl: &mut Option<CtrlSock>
     match step {
         Step::Continue => *ctrl = Some(c),
         Step::Exit => exit_flush(&mut c),
-        Step::CtrlGone => ctrl_gone_inner(session),
+        Step::CtrlGone => log_parked(session),
     }
     step
 }
 
-/// The controller socket died or misbehaved: park the session (v4) or
-/// drop it (legacy).
-fn ctrl_gone(ctrl: &mut Option<CtrlSock>, session: &mut Option<Session>) {
+/// The controller socket died or misbehaved: drop it; the session stays
+/// parked for a resume.
+fn ctrl_gone(ctrl: &mut Option<CtrlSock>, session: &Option<Session>) {
     *ctrl = None;
-    ctrl_gone_inner(session);
+    log_parked(session);
 }
 
-fn ctrl_gone_inner(session: &mut Option<Session>) {
-    match session {
-        Some(s) if s.v4 => {
-            log().warn(
-                "controller_lost",
-                None,
-                &format!(
-                    "[grout-workerd w{}] controller lost; session parked, awaiting resume",
-                    s.me
-                ),
-                &[("worker", Value::U64(s.me as u64))],
-            );
-        }
-        Some(s) => {
-            log().warn(
-                "controller_lost",
-                None,
-                &format!(
-                    "[grout-workerd w{}] controller lost; awaiting re-adoption",
-                    s.me
-                ),
-                &[("worker", Value::U64(s.me as u64))],
-            );
-            *session = None;
-        }
-        None => {}
-    }
+fn log_parked(session: &Option<Session>) {
+    let Some(me) = session.as_ref().map(|s| s.me) else {
+        return;
+    };
+    log().warn(
+        "controller_lost",
+        None,
+        &format!("[grout-workerd w{me}] controller lost; session parked, awaiting resume"),
+        &[("worker", Value::U64(me as u64))],
+    );
 }
 
 /// Reads whatever the controller socket has, decodes and dispatches every
@@ -700,41 +643,36 @@ fn drive_ctrl_frames(c: &mut CtrlSock, session: &mut Option<Session>) -> Step {
                 return Step::CtrlGone;
             }
         };
-        let step = if c.v4() {
-            match wire::open_envelope(raw) {
-                Ok(wire::Envelope::Ephemeral(inner)) => handle_ctrl_payload(inner, c, session),
-                Ok(wire::Envelope::Reliable { seq, payload }) => {
-                    let Some(s) = session.as_mut() else {
-                        return Step::CtrlGone; // no session: protocol error
-                    };
-                    let before = s.recv_cursor.cursor();
-                    let ready = s.recv_cursor.accept(seq, payload);
-                    let after = s.recv_cursor.cursor();
-                    let mut step = Step::Continue;
-                    for payload in ready {
-                        step = handle_ctrl_payload(payload, c, session);
-                        if step != Step::Continue {
-                            break;
-                        }
+        let step = match wire::open_envelope(raw) {
+            Ok(wire::Envelope::Ephemeral(inner)) => handle_ctrl_payload(inner, c, session),
+            Ok(wire::Envelope::Reliable { seq, payload }) => {
+                let Some(s) = session.as_mut() else {
+                    return Step::CtrlGone; // no session: protocol error
+                };
+                let before = s.recv_cursor.cursor();
+                let ready = s.recv_cursor.accept(seq, payload);
+                let after = s.recv_cursor.cursor();
+                let mut step = Step::Continue;
+                for payload in ready {
+                    step = handle_ctrl_payload(payload, c, session);
+                    if step != Step::Continue {
+                        break;
                     }
-                    if step == Step::Continue && before / ACK_EVERY != after / ACK_EVERY {
-                        let framed = wire::seal_ephemeral(&wire::encode_session_ack(after));
-                        c.wq.enqueue(&framed);
-                    }
-                    step
                 }
-                Err(e) => {
-                    log().warn(
-                        "ctrl_bad_envelope",
-                        None,
-                        &format!("[grout-workerd] bad controller envelope: {e}"),
-                        &[],
-                    );
-                    Step::CtrlGone
+                if step == Step::Continue && before / ACK_EVERY != after / ACK_EVERY {
+                    c.wq.enqueue(&wire::seal_ephemeral(&wire::encode_session_ack(after)));
                 }
+                step
             }
-        } else {
-            handle_ctrl_payload(raw, c, session)
+            Err(e) => {
+                log().warn(
+                    "ctrl_bad_envelope",
+                    None,
+                    &format!("[grout-workerd] bad controller envelope: {e}"),
+                    &[],
+                );
+                Step::CtrlGone
+            }
         };
         if step != Step::Continue {
             return step;
@@ -755,7 +693,7 @@ fn handle_ctrl_payload(inner: Vec<u8>, c: &mut CtrlSock, session: &mut Option<Se
             let rtt = t4.saturating_sub(t1);
             if let Some(s) = session.as_ref() {
                 let sample = wire::encode_clock_sample(s.me, offset, rtt);
-                enqueue_ctrl(c, &sample);
+                c.wq.enqueue(&wire::seal_ephemeral(&sample));
             }
         }
         return Step::Continue;
@@ -781,7 +719,7 @@ fn handle_ctrl_payload(inner: Vec<u8>, c: &mut CtrlSock, session: &mut Option<Se
     let Some(s) = session.as_mut() else {
         return Step::CtrlGone;
     };
-    drive_msg(msg, s, Some(c))
+    drive_msg(msg, s, Some(&mut c.wq))
 }
 
 /// Drains and dispatches every complete frame buffered on one inbound
@@ -819,7 +757,7 @@ fn drive_peer_frames(
             return Step::Continue;
         };
         let step = match session.as_mut() {
-            Some(s) => drive_msg(msg, s, ctrl.as_mut()),
+            Some(s) => drive_msg(msg, s, ctrl.as_mut().map(|c| &mut c.wq)),
             None => Step::Continue, // no session yet: drop stray peer data
         };
         if step == Step::Exit {
@@ -829,111 +767,58 @@ fn drive_peer_frames(
 }
 
 /// Dispatches one [`CtrlMsg`] into the session: membership updates are
-/// transport-level, everything else drives the engine with output routed
-/// to the controller write queue (or the parked send buffer).
-fn drive_msg(msg: CtrlMsg, s: &mut Session, ctrl: Option<&mut CtrlSock>) -> Step {
+/// transport-level, everything else drives the engine. Controller-bound
+/// output is sealed into the send buffer — where it survives any socket
+/// fate until acked, and from where a resume replays it — and queued on
+/// `wq`, the controller socket's write queue, when one is attached. Peer
+/// output flows either way.
+fn drive_msg(msg: CtrlMsg, s: &mut Session, mut wq: Option<&mut WriteQueue>) -> Step {
     if let CtrlMsg::Peers { addrs } = msg {
         s.set_peers(addrs);
         return Step::Continue;
     }
-    match ctrl {
-        Some(c) => {
-            let Session {
-                me,
-                v4,
-                engine,
-                send_buf,
-                peer_addrs,
-                peer_out,
-                ..
-            } = s;
-            let me = *me;
-            let v4 = *v4;
-            let wq = &mut c.wq;
-            let flow = engine.handle(msg, &mut |o| match o {
-                Outbound::Controller(m) => {
-                    let payload = wire::encode_worker(&m);
-                    if v4 {
-                        wq.enqueue(&send_buf.seal(&payload));
-                    } else {
-                        wq.enqueue(&payload);
-                    }
-                }
-                Outbound::Peer(j, m) => send_to_peer(me, j, peer_addrs, peer_out, &m),
-            });
-            if flow == Flow::Halt {
-                Step::Exit
-            } else {
-                Step::Continue
-            }
-        }
-        None => {
-            s.handle_offline(msg);
-            Step::Continue
-        }
-    }
-}
-
-/// One heartbeat tick: beat, clock ping (v2+), piggybacked cumulative ack
-/// (v4) — all queued on the controller socket.
-fn heartbeat(c: &mut CtrlSock, s: &mut Session) {
-    let beat = wire::encode_worker(&WorkerMsg::Heartbeat { worker: s.me });
-    enqueue_ctrl(c, &beat);
-    if c.version >= 2 {
-        let ping = wire::encode_clock_ping(s.me, monotonic_ns());
-        enqueue_ctrl(c, &ping);
-    }
-    if c.v4() {
-        // Piggyback a cumulative ack so an idle stream still gets its
-        // controller-side send window trimmed.
-        let ack = wire::encode_session_ack(s.recv_cursor.cursor());
-        enqueue_ctrl(c, &ack);
-    }
-}
-
-/// Queues one ephemeral (v4) or bare transport frame for the controller.
-fn enqueue_ctrl(c: &mut CtrlSock, payload: &[u8]) {
-    if c.v4() {
-        c.wq.enqueue(&wire::seal_ephemeral(payload));
-    } else {
-        c.wq.enqueue(payload);
-    }
-}
-
-/// Idle flush tick with a live controller: ship buffered telemetry even
-/// when no plan traffic arrives to trigger a flush.
-fn flush_telemetry_online(c: &mut CtrlSock, s: &mut Session) {
     let Session {
-        v4,
+        me,
         engine,
         send_buf,
+        peer_addrs,
+        peer_out,
         ..
     } = s;
-    let v4 = *v4;
-    let wq = &mut c.wq;
-    engine.flush_telemetry(&mut |o| {
-        if let Outbound::Controller(m) = o {
-            let payload = wire::encode_worker(&m);
-            if v4 {
-                wq.enqueue(&send_buf.seal(&payload));
-            } else {
-                wq.enqueue(&payload);
-            }
-        }
+    let me = *me;
+    let flow = engine.handle(msg, &mut |o| match o {
+        Outbound::Controller(m) => to_controller(send_buf, wq.as_deref_mut(), &m),
+        Outbound::Peer(j, m) => send_to_peer(me, j, peer_addrs, peer_out, &m),
     });
+    if flow == Flow::Halt {
+        Step::Exit
+    } else {
+        Step::Continue
+    }
+}
+
+/// One heartbeat tick: beat, clock ping and a piggybacked cumulative ack
+/// (so an idle stream still gets its controller-side send window
+/// trimmed) — all ephemeral, all queued on the controller socket.
+fn heartbeat(c: &mut CtrlSock, s: &Session) {
+    for payload in [
+        wire::encode_worker(&WorkerMsg::Heartbeat { worker: s.me }),
+        wire::encode_clock_ping(s.me, monotonic_ns()),
+        wire::encode_session_ack(s.recv_cursor.cursor()),
+    ] {
+        c.wq.enqueue(&wire::seal_ephemeral(&payload));
+    }
 }
 
 /// SIGTERM path: flush buffered telemetry, announce a clean departure so
 /// the controller re-plans immediately, flush the socket.
 fn graceful_leave(s: &mut Session, c: &mut CtrlSock) {
-    flush_telemetry_online(c, s);
-    let payload = wire::encode_worker(&WorkerMsg::Leave { worker: s.me });
-    if s.v4 {
-        let framed = s.send_buf.seal(&payload);
-        c.wq.enqueue(&framed);
-    } else {
-        c.wq.enqueue(&payload);
-    }
+    s.flush_telemetry(Some(&mut c.wq));
+    to_controller(
+        &mut s.send_buf,
+        Some(&mut c.wq),
+        &WorkerMsg::Leave { worker: s.me },
+    );
     exit_flush(c);
     log().info(
         "sigterm_drained",

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: build, test, lint, format.
-# Keep this byte-for-byte in sync with .github/workflows/ci.yml.
+# .github/workflows/ci.yml runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

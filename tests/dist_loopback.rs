@@ -587,6 +587,62 @@ fn worker_joins_mid_run_and_departs_cleanly() {
     assert!(v.iter().all(|x| x.is_finite()));
 }
 
+/// Version skew is a typed reject, not a degraded session: a controller
+/// hello stamped with the previous wire version gets its socket closed
+/// without an ack, and the endpoint stays adoptable — a current
+/// controller then adopts the same worker and computes bit-identically.
+#[test]
+fn skewed_hello_is_rejected_and_the_worker_stays_adoptable() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use grout::net::wire;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&shutdown);
+    let serve = std::thread::spawn(move || grout::serve_shutdown(listener, flag));
+
+    let mut hello = wire::encode_hello(&wire::Hello::Controller {
+        index: 0,
+        total: 1,
+        heartbeat_ms: 100,
+        peers: vec![addr.clone()],
+        session_id: 1,
+        resume: None,
+    });
+    hello[4..6].copy_from_slice(&(wire::WIRE_VERSION - 1).to_le_bytes());
+    let mut raw = std::net::TcpStream::connect(&addr).expect("dial worker");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    wire::write_frame(&mut raw, &hello).expect("send skewed hello");
+    match wire::read_frame(&mut raw) {
+        Ok(None) => {}
+        other => panic!("a skewed hello must be closed without an ack, got {other:?}"),
+    }
+    drop(raw);
+
+    let mut local = Runtime::builder()
+        .workers(1)
+        .policy(PolicyKind::RoundRobin)
+        .build_local()
+        .expect("in-process runtime");
+    let mut dist = Runtime::builder()
+        .policy(PolicyKind::RoundRobin)
+        .tcp(vec![WorkerSpec::Connect(addr)])
+        .build()
+        .expect("the worker is still adoptable");
+    assert_eq!(dist.transport_kind(), "tcp");
+    assert_eq!(run_workload(&mut local), run_workload(&mut dist));
+
+    drop(dist);
+    shutdown.store(true, Ordering::SeqCst);
+    serve
+        .join()
+        .expect("serve thread")
+        .expect("clean serve exit");
+}
+
 /// Allocates and runs two kernels so both workers hold fresh data.
 fn rt_fill(rt: &mut LocalRuntime, saxpy: &Arc<CompiledKernel>, n: i32) -> grout::ArrayId {
     let a = rt.alloc_f32(N);

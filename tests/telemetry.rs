@@ -207,11 +207,6 @@ fn metrics_dump_carries_acceptance_counters() {
     ] {
         assert!(get(&dump, key).is_some(), "metrics dump missing {key}");
     }
-    let csv = metrics.to_csv();
-    assert!(csv.starts_with("metric,value\n"));
-    assert!(csv.contains("p2p_bytes,"));
-    assert!(csv.contains("bw_source,"));
-    assert!(csv.contains("transport,"));
 }
 
 #[test]
@@ -238,7 +233,6 @@ fn metrics_record_the_bandwidth_matrix_and_its_provenance() {
         Value::Array(rows) => assert_eq!(rows.len(), 3),
         other => panic!("bw_bps must be an array, got {other:?}"),
     }
-    assert!(metrics.to_csv().contains("bw_bps.0.1,"));
 }
 
 #[test]
