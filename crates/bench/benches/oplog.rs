@@ -4,6 +4,8 @@
 //! - `plan_bare` vs `plan_logged`: one `PlanCe` through a bare
 //!   `Planner::apply` vs through `LoggedPlanner` (the clone-into-log tax
 //!   every runtime mutation now pays);
+//! - `plan_bare_at_64k`: the `plan_bare` step on a planner that already
+//!   holds 64k CEs (a planning step must not cost more late in a run);
 //! - `plan_journalled`: the same op with a flush-per-op `JournalSink`
 //!   attached (the crash-recovery write amplification);
 //! - `digest`: one `state_digest()` over a planner carrying a large DAG
@@ -14,7 +16,9 @@
 //!   recovery-time metric: ops re-applied per second).
 //!
 //! Besides the console lines, results land in `BENCH_oplog.json` at the
-//! repo root so runs can be diffed in review.
+//! repo root so runs can be diffed in review. Rows measured before the
+//! DAG's insert stopped depending on history are paired with a `*_before`
+//! row (the file as committed at aa00e7a, same 2-vCPU box).
 
 use std::time::{Duration, Instant};
 
@@ -46,10 +50,21 @@ fn kernel_ce(id: u64, a: grout::ArrayId, b: grout::ArrayId) -> Ce {
     }
 }
 
+/// `(row name, ns per iteration)` as committed at aa00e7a, where the plan
+/// rows rebuilt their planner every 4096 CEs to bound what they measured.
+const BEFORE: &[(&str, f64)] = &[
+    ("plan_bare", 188_588.6),
+    ("plan_logged", 190_843.9),
+    ("plan_journalled", 892_659.3),
+    ("digest_2k_ces", 3_563_581.6),
+    ("encode_op", 144.9),
+    ("decode_op", 113.5),
+    ("replay_2k_ces", 327_900_172.9),
+];
+
 struct BenchResult {
     name: &'static str,
     mean_ns: f64,
-    iters: u64,
 }
 
 /// Fixed warm-up, then a bounded measurement loop; mirrors the criterion
@@ -69,24 +84,24 @@ fn time(name: &'static str, budget: Duration, mut routine: impl FnMut()) -> Benc
     }
     let mean_ns = start.elapsed().as_nanos() as f64 / iters as f64;
     println!("bench oplog/{name}: {mean_ns:.1} ns/iter ({iters} iters)");
-    BenchResult {
-        name,
-        mean_ns,
-        iters,
-    }
+    BenchResult { name, mean_ns }
 }
 
-/// One planning step against a planner that is freshly rebuilt whenever
-/// the DAG grows past `reset_every` (unbounded growth would measure DAG
-/// size, not logging overhead).
-fn bench_plan(name: &'static str, budget: Duration, logged: bool, journal: bool) -> BenchResult {
-    let reset_every = 4096u64;
+/// One planning step (plan + complete) on a planner built once for the
+/// row and preloaded with `preload` CEs of the same stream.
+fn bench_plan(
+    name: &'static str,
+    budget: Duration,
+    logged: bool,
+    journal: bool,
+    preload: u64,
+) -> BenchResult {
     let journal_path = std::env::temp_dir().join(format!(
         "grout-bench-oplog-{}-{name}.grjl",
         std::process::id()
     ));
-    let fresh = |n: &mut u64| {
-        *n = 0;
+    let mut n = 0u64;
+    let result = if logged {
         let mut p = LoggedPlanner::new(Planner::new(cfg(4), None));
         if journal {
             let sink = JournalSink::create(&journal_path, p.config(), &None).expect("journal");
@@ -94,39 +109,23 @@ fn bench_plan(name: &'static str, budget: Duration, logged: bool, journal: bool)
         }
         let a = p.alloc(MIB);
         let b = p.alloc(MIB);
-        (p, a, b)
-    };
-    let mut n = 0u64;
-    let result = if logged {
-        let (mut p, mut a, mut b) = fresh(&mut n);
-        time(name, budget, move || {
-            if n >= reset_every {
-                (p, a, b) = fresh(&mut n);
-            }
+        let mut step = move || {
             let ce = kernel_ce(n, a, b);
             n += 1;
             let plan = p.plan_ce(&ce).expect("plan");
             p.mark_completed(plan.dag_index);
-        })
+        };
+        (0..preload).for_each(|_| step());
+        time(name, budget, step)
     } else {
-        fn fresh_bare() -> (Planner, grout::ArrayId, grout::ArrayId) {
-            let mut p = Planner::new(PlannerConfig::new(4, PolicyKind::RoundRobin), None);
-            let alloc =
-                |p: &mut Planner| match p.apply(&PlannerOp::Alloc { bytes: MIB }).expect("alloc") {
-                    grout::core::PlannerResp::Array(id) => id,
-                    _ => unreachable!(),
-                };
-            let a = alloc(&mut p);
-            let b = alloc(&mut p);
-            (p, a, b)
-        }
-        let (mut bare, mut aid, mut bid) = fresh_bare();
-        time(name, budget, move || {
-            if n >= reset_every {
-                n = 0;
-                (bare, aid, bid) = fresh_bare();
-            }
-            let ce = kernel_ce(n, aid, bid);
+        let mut bare = Planner::new(cfg(4), None);
+        let mut alloc = || match bare.apply(&PlannerOp::Alloc { bytes: MIB }).expect("alloc") {
+            grout::core::PlannerResp::Array(id) => id,
+            _ => unreachable!(),
+        };
+        let (a, b) = (alloc(), alloc());
+        let mut step = move || {
+            let ce = kernel_ce(n, a, b);
             n += 1;
             let plan = match bare.apply(&PlannerOp::PlanCe { ce }).expect("plan") {
                 grout::core::PlannerResp::Plan(plan) => plan,
@@ -136,7 +135,9 @@ fn bench_plan(name: &'static str, budget: Duration, logged: bool, journal: bool)
                 dag_index: plan.dag_index,
             })
             .expect("complete");
-        })
+        };
+        (0..preload).for_each(|_| step());
+        time(name, budget, step)
     };
     std::fs::remove_file(&journal_path).ok();
     result
@@ -156,11 +157,12 @@ fn loaded_planner(ces: u64) -> LoggedPlanner {
 
 fn main() {
     let budget = Duration::from_millis(400);
-    let mut results = Vec::new();
-
-    results.push(bench_plan("plan_bare", budget, false, false));
-    results.push(bench_plan("plan_logged", budget, true, false));
-    results.push(bench_plan("plan_journalled", budget, true, true));
+    let mut results = vec![
+        bench_plan("plan_bare", budget, false, false, 0),
+        bench_plan("plan_bare_at_64k", budget, false, false, 64_000),
+        bench_plan("plan_logged", budget, true, false, 0),
+        bench_plan("plan_journalled", budget, true, true, 0),
+    ];
 
     let loaded = loaded_planner(2000);
     results.push(time("digest_2k_ces", budget, || {
@@ -197,30 +199,32 @@ fn main() {
 fn write_artifact(results: &[BenchResult]) {
     use serde::json::Value;
 
-    struct Artifact<'a>(&'a [BenchResult]);
-    impl serde::Serialize for Artifact<'_> {
+    let row = |name: String, value: f64| {
+        Value::Object(vec![
+            ("name".into(), Value::String(name)),
+            ("value".into(), Value::F64(value)),
+            ("unit".into(), Value::String("ns_per_iter".into())),
+        ])
+    };
+    let mut out = Vec::new();
+    for r in results {
+        out.push(row(r.name.into(), r.mean_ns));
+        if let Some((_, before)) = BEFORE.iter().find(|(name, _)| *name == r.name) {
+            out.push(row(format!("{}_before", r.name), *before));
+        }
+    }
+    struct Artifact(Vec<Value>);
+    impl serde::Serialize for Artifact {
         fn to_json_value(&self) -> Value {
-            let rows = self
-                .0
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("name".into(), Value::String(r.name.into())),
-                        ("mean_ns".into(), Value::F64(r.mean_ns)),
-                        ("iters".into(), Value::U64(r.iters)),
-                    ])
-                })
-                .collect();
             Value::Object(vec![
                 ("bench".into(), Value::String("oplog".into())),
-                ("unit".into(), Value::String("ns_per_iter".into())),
-                ("results".into(), Value::Array(rows)),
+                ("results".into(), Value::Array(self.0.clone())),
             ])
         }
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oplog.json");
-    let body = serde_json::to_string_pretty(&Artifact(results)).expect("serialize");
+    let body = serde_json::to_string_pretty(&Artifact(out)).expect("serialize");
     std::fs::write(path, body + "\n").expect("write BENCH_oplog.json");
     println!("bench oplog: artifact written to BENCH_oplog.json");
 }

@@ -190,10 +190,11 @@ impl Planner {
     /// returns the derived decision. Deterministic — two planners
     /// constructed identically and fed the same op sequence reach
     /// bit-identical state (the property the standby controller and
-    /// journal replay rely on). Note that a failing op (e.g.
-    /// [`PlanError::UseAfterFree`]) may still have mutated state: the CE
-    /// was appended to the DAG before movement planning failed, and
-    /// re-applying it on replay repeats that mutation exactly.
+    /// journal replay rely on). A failing op is deterministic too:
+    /// re-applying it on replay returns the same error and leaves the same
+    /// state. A `PlanCe` that fails ([`PlanError::UseAfterFree`]) is
+    /// rejected before anything is touched, so DAG indices stay aligned
+    /// with [`Planner::planned_ce`] / [`Planner::assignment`].
     pub fn apply(&mut self, op: &PlannerOp) -> Result<PlannerResp, PlanError> {
         match op {
             PlannerOp::Alloc { bytes } => Ok(PlannerResp::Array(self.alloc(*bytes))),
@@ -311,6 +312,16 @@ impl Planner {
     /// plans in submission order (or gate on explicit versions), so the
     /// eager directory is exactly the state the next `plan_ce` must see.
     fn plan_ce(&mut self, ce: &Ce) -> Result<Plan, PlanError> {
+        // Reject a read of a freed array before the DAG append: a CE that
+        // took an index but no `ces`/`assignments` entry would shift every
+        // later lookup by one and sit in the DAG uncompleted forever.
+        if let Some(arg) = ce
+            .args
+            .iter()
+            .find(|a| a.mode.reads() && !self.array_bytes.contains_key(&a.array))
+        {
+            return Err(PlanError::UseAfterFree(arg.array));
+        }
         let outcome = self.dag.add_ce(ce);
 
         // Node assignment: host CEs run on the Controller, kernels go
@@ -1264,21 +1275,30 @@ mod tests {
     }
 
     #[test]
-    fn failed_ops_still_mutate_and_replay_identically() {
+    fn failed_plan_mutates_nothing_and_replays_identically() {
         let mut p = planner(1);
         let a = p.alloc(8);
+        let b = p.alloc(8);
         p.free(a);
-        // The CE lands in the DAG even though movement planning fails.
+        let before = (*p).clone();
         assert_eq!(
-            p.plan_ce(&kernel(0, vec![CeArg::read(a, 8)])).unwrap_err(),
+            p.plan_ce(&kernel(0, vec![CeArg::write(b, 8), CeArg::read(a, 8)]))
+                .unwrap_err(),
             PlanError::UseAfterFree(a)
         );
-        assert_eq!(p.dag().len(), 1, "failed plan still appended to the DAG");
+        assert!(p.dag().is_empty(), "a failed plan takes no DAG index");
+        assert_eq!(*p, before, "nor touches anything else");
+        // The next CE is index 0 everywhere, and nothing waits on a ghost.
+        let ok = kernel(1, vec![CeArg::read_write(b, 8)]);
+        let plan = p.plan_ce(&ok).unwrap();
+        assert_eq!((plan.dag_index, &plan.deps[..]), (0, &[][..]));
+        assert_eq!(p.planned_ce(0), Some(&ok));
+        assert_eq!(p.assignment(0), Some(plan.assigned_node));
         let mut replica = fresh_like(&p);
         let results = replay_ops(&mut replica, p.ops());
         assert_eq!(*p, replica);
         assert_eq!(
-            results.last().unwrap().as_ref().unwrap_err(),
+            results[3].as_ref().unwrap_err(),
             &PlanError::UseAfterFree(a),
             "replay reproduces the failure too"
         );

@@ -18,9 +18,10 @@
 //!    state is inspectable.
 //!
 //! Ops are logged *before* they are applied and even failing ops stay in
-//! the log: `plan_ce` appends the CE to the Global DAG before movement
-//! planning can fail with [`PlanError::UseAfterFree`], so a failed op
-//! still mutates state and replay must re-apply it to diverge nowhere.
+//! the log. Replay re-applies them: a failure is as deterministic as a
+//! success, so it returns the same error and leaves the same state. A
+//! failing `PlanCe` ([`PlanError::UseAfterFree`]) leaves it untouched — the
+//! CE is rejected before it takes a DAG index.
 
 use std::fmt;
 
@@ -343,9 +344,9 @@ impl fmt::Debug for LoggedPlanner {
 }
 
 /// Replays an op sequence onto a fresh planner (journal recovery, tests).
-/// Failing ops are re-applied and their errors ignored — the failure is
-/// part of the recorded history and still mutates state (see the module
-/// docs on write-ahead ordering).
+/// Failing ops are re-applied and fail again the same way — the failure is
+/// part of the recorded history (see the module docs on write-ahead
+/// ordering); their errors are returned in place, not raised.
 pub fn replay_ops<'a>(
     planner: &mut Planner,
     ops: impl IntoIterator<Item = &'a PlannerOp>,

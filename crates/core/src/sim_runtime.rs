@@ -169,6 +169,23 @@ pub struct SimRuntime {
     telemetry: Telemetry,
     /// Always-on metrics registry.
     metrics: Metrics,
+    /// Workers whose UVM devices may hold pages or an active-set entry of
+    /// each array: those a kernel touched it on (`kernel_access` /
+    /// `prefetch`) since it was last invalidated there. `invalidate` is a
+    /// no-op everywhere else, so a write visits only these.
+    uvm_holders: HashMap<ArrayId, Vec<usize>>,
+    /// Per-CE buffers of [`SimRuntime::submit`], kept to reuse their
+    /// allocations.
+    scratch: Scratch,
+}
+
+#[derive(Default)]
+struct Scratch {
+    resident: Vec<u64>,
+    active: Vec<u64>,
+    own: Vec<uvm_sim::AllocId>,
+    uvm_args: Vec<uvm_sim::ArgAccess>,
+    waits: Vec<SimTime>,
 }
 
 impl SimRuntime {
@@ -224,6 +241,8 @@ impl SimRuntime {
             last_writer: HashMap::new(),
             telemetry: Telemetry::off(),
             metrics,
+            uvm_holders: HashMap::new(),
+            scratch: Scratch::default(),
             cfg,
         })
     }
@@ -266,8 +285,8 @@ impl SimRuntime {
     pub fn free(&mut self, id: ArrayId) {
         self.planner.free(id);
         self.array_ready.remove(&id);
-        for w in &mut self.workers {
-            for uvm in &mut w.uvm {
+        for wi in self.uvm_holders.remove(&id).unwrap_or_default() {
+            for uvm in &mut self.workers[wi].uvm {
                 uvm.invalidate(id.alloc());
             }
         }
@@ -594,9 +613,8 @@ impl SimRuntime {
         let dispatch = self.controller_clock;
 
         // 3. Price the planned movements on the modeled network.
-        let movements = plan.movements.clone();
         let mut moved_bytes = 0u64;
-        for m in &movements {
+        for m in &plan.movements {
             moved_bytes += self.cost_movement(m, dispatch);
         }
 
@@ -654,34 +672,35 @@ impl SimRuntime {
                 let gate = gate.max(cmd_at);
 
                 // Algorithm 2: device selection by residency.
-                let resident: Vec<u64> = {
-                    let w = &self.workers[wi];
-                    (0..w.node.device_count())
-                        .map(|d| {
-                            ce.args
-                                .iter()
-                                .map(|a| w.uvm[d].resident_bytes(a.array.alloc()))
-                                .sum()
-                        })
-                        .collect()
-                };
+                let w = &mut self.workers[wi];
+                let Scratch {
+                    resident,
+                    active,
+                    own,
+                    uvm_args,
+                    waits,
+                } = &mut self.scratch;
+                resident.clear();
+                resident.extend(w.uvm.iter().map(|u| {
+                    ce.args
+                        .iter()
+                        .map(|a| u.resident_bytes(a.array.alloc()))
+                        .sum::<u64>()
+                }));
                 let total_bytes = ce.total_bytes();
                 // Competing pressure per GPU: the CE's own allocations are
                 // excluded so a chunk is not repelled from the GPU it ran
                 // on last iteration by its own stale window entry.
-                let own: Vec<uvm_sim::AllocId> = ce.args.iter().map(|a| a.array.alloc()).collect();
-                let active: Vec<u64> = self.workers[wi]
-                    .uvm
-                    .iter()
-                    .map(|u| u.active_bytes_excluding(&own))
-                    .collect();
-                let w = &mut self.workers[wi];
+                own.clear();
+                own.extend(ce.args.iter().map(|a| a.array.alloc()));
+                active.clear();
+                active.extend(w.uvm.iter().map(|u| u.active_bytes_excluding(own)));
                 let device = select_device(
                     &w.node,
                     self.cfg.device_policy,
                     &mut w.device_rr,
-                    &resident,
-                    &active,
+                    resident,
+                    active,
                     total_bytes,
                 );
 
@@ -699,11 +718,10 @@ impl SimRuntime {
                     select_stream(w.node.device_mut(device), gate, single_parent_stream);
 
                 // Wait events on ancestors (free when the FIFO orders us).
-                let waits: Vec<SimTime> = if reused {
-                    Vec::new()
-                } else {
-                    plan.deps.iter().map(|&p| self.records[p].finish).collect()
-                };
+                waits.clear();
+                if !reused {
+                    waits.extend(plan.deps.iter().map(|&p| self.records[p].finish));
+                }
 
                 // Hand-tuned variant: prefetch read inputs ahead of the
                 // launch (serialized before the kernel, streaming rate).
@@ -717,9 +735,15 @@ impl SimRuntime {
                 }
 
                 // UVM fault/migration stall for this launch.
-                let uvm_args: Vec<uvm_sim::ArgAccess> =
-                    ce.args.iter().map(|a| a.to_uvm()).collect();
-                let report = w.uvm[device.0].kernel_access(&uvm_args);
+                uvm_args.clear();
+                uvm_args.extend(ce.args.iter().map(|a| a.to_uvm()));
+                let report = w.uvm[device.0].kernel_access(uvm_args);
+                for a in &ce.args {
+                    let holders = self.uvm_holders.entry(a.array).or_default();
+                    if !holders.contains(&wi) {
+                        holders.push(wi);
+                    }
+                }
                 let report = uvm_sim::UvmReport {
                     stall: report.stall + prefetch_cost,
                     ..report
@@ -728,7 +752,7 @@ impl SimRuntime {
                 let tl = w.node.device_mut(device).launch_kernel(
                     stream,
                     gate,
-                    &waits,
+                    waits,
                     cost,
                     report.stall,
                 );
@@ -763,12 +787,16 @@ impl SimRuntime {
                 self.last_writer.insert(arg.array, plan.dag_index);
                 self.array_ready.insert(arg.array, record.finish);
                 // Stale UVM copies elsewhere must refault after the write.
-                for (i, w) in self.workers.iter_mut().enumerate() {
-                    if Location::worker(i) != dest {
-                        for uvm in &mut w.uvm {
-                            uvm.invalidate(arg.array.alloc());
+                if let Some(holders) = self.uvm_holders.get_mut(&arg.array) {
+                    holders.retain(|&wi| {
+                        let keeps = Location::worker(wi) == dest;
+                        if !keeps {
+                            for uvm in &mut self.workers[wi].uvm {
+                                uvm.invalidate(arg.array.alloc());
+                            }
                         }
-                    }
+                        keeps
+                    });
                 }
             }
         }
@@ -1258,6 +1286,99 @@ mod tests {
             plans[1].placement.is_some(),
             "sim fills Algorithm-2 placement into the traced plan"
         );
+    }
+
+    #[test]
+    fn directed_invalidation_equals_the_full_sweep() {
+        // Twin runtimes on one seeded 2k-CE stream; `swept` additionally
+        // gets the old sweep (every device of every other worker) after
+        // each submit. If the recorded holders ever missed a device with
+        // state for a written array, the sweep would drop what the
+        // directed pass kept and the UVM counters would part ways.
+        let build = || {
+            let mut cfg = SimConfig::paper_grout(8, PolicyKind::RoundRobin);
+            cfg.hand_tuned_prefetch = true;
+            let mut rt = SimRuntime::try_new(cfg).expect("valid config");
+            let arrays: Vec<ArrayId> = (0..24).map(|_| rt.alloc(2 * GIB)).collect();
+            (rt, arrays)
+        };
+        let (mut directed, mut arrays) = build();
+        let (mut swept, _) = build();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for step in 0..2000 {
+            let slot = below(arrays.len());
+            let a = arrays[slot];
+            let id = match below(20) {
+                0 => {
+                    for rt in [&mut directed, &mut swept] {
+                        rt.free(a);
+                        arrays[slot] = rt.alloc(2 * GIB);
+                    }
+                    continue;
+                }
+                1 | 2 => {
+                    swept.host_write(a, 2 * GIB);
+                    directed.host_write(a, 2 * GIB)
+                }
+                3 => {
+                    swept.host_read(a, 2 * GIB);
+                    directed.host_read(a, 2 * GIB)
+                }
+                _ => {
+                    let mut args = vec![match below(3) {
+                        0 => CeArg::read(a, 2 * GIB),
+                        1 => CeArg::write(a, 2 * GIB),
+                        _ => CeArg::read_write(a, 2 * GIB),
+                    }];
+                    for _ in 0..below(3) {
+                        let b = arrays[below(arrays.len())];
+                        if args.iter().all(|x| x.array != b) {
+                            args.push(CeArg::read(b, 2 * GIB));
+                        }
+                    }
+                    swept.launch("k", cost_for(2 * GIB), args.clone());
+                    directed.launch("k", cost_for(2 * GIB), args)
+                }
+            };
+            let rec = swept.record(id).clone();
+            for arg in rec.ce.args.iter().filter(|a| a.mode.writes()) {
+                for (i, w) in swept.workers.iter_mut().enumerate() {
+                    if Location::worker(i) != rec.location {
+                        for uvm in &mut w.uvm {
+                            uvm.invalidate(arg.array.alloc());
+                        }
+                    }
+                }
+            }
+            for (wi, w) in directed.workers.iter().enumerate() {
+                for &a in &arrays {
+                    let recorded = directed
+                        .uvm_holders
+                        .get(&a)
+                        .is_some_and(|h| h.contains(&wi));
+                    let resident: u64 = w.uvm.iter().map(|u| u.resident_bytes(a.alloc())).sum();
+                    assert!(
+                        recorded || resident == 0,
+                        "step {step}: worker {wi} holds {resident} B of {a:?} unrecorded"
+                    );
+                }
+                for d in 0..w.uvm.len() {
+                    assert_eq!(
+                        directed.uvm_stats(wi, d),
+                        swept.uvm_stats(wi, d),
+                        "step {step}: worker {wi} device {d}"
+                    );
+                }
+            }
+        }
+        assert_eq!(directed.elapsed(), swept.elapsed());
+        assert!(directed.stats().uvm_stall > SimDuration::ZERO);
     }
 
     // ----- fault injection -------------------------------------------------

@@ -100,7 +100,7 @@ fn pattern_of(tag: u8) -> AccessPattern {
 
 /// Drives the command stream through [`LoggedPlanner`]'s typed mutators
 /// — the exact surface the runtimes use — tolerating per-op failures
-/// (they still log and still mutate). Returns the live planner wrapper.
+/// (they still log). Returns the live planner wrapper.
 fn drive(cmds: &[Cmd], workers: usize, links: Option<LinkMatrix>) -> LoggedPlanner {
     let cfg = PlannerConfig::new(workers, PolicyKind::RoundRobin);
     let mut planner = LoggedPlanner::new(Planner::new(cfg, links));

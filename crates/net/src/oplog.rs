@@ -43,8 +43,11 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"GRJL";
 /// Journal format version. v2: the serialized planner config grew the
 /// partition-tolerance knobs (heartbeat cadence, staleness threshold,
 /// reconnect window) and ops 7–9 (suspect/reinstate/rejoin membership
-/// transitions) joined the vocabulary.
-pub const JOURNAL_VERSION: u16 = 2;
+/// transitions) joined the vocabulary. v3: same frames; the footer digest
+/// is taken over a DAG that keeps fewer readers per array and a smaller
+/// frontier for the same ops, so a v2 footer would not verify against
+/// this build's replay.
+pub const JOURNAL_VERSION: u16 = 3;
 
 const TAG_HEADER: u8 = 0x00;
 const TAG_OP: u8 = 0x01;
@@ -435,7 +438,8 @@ pub fn standby_serve(listener: &TcpListener) -> Result<StandbyOutcome, WireError
         match wire::read_frame(&mut stream) {
             Ok(Some(payload)) => match wire::decode_ctrl(&payload) {
                 Ok(CtrlMsg::ShipOp { seq, op }) => {
-                    // Failed ops still mutate state; apply and move on.
+                    // A failed op is part of the log and fails the same way
+                    // here; apply and move on.
                     let _ = replica.apply(&op);
                     ops_applied += 1;
                     let ack = wire::encode_worker(&WorkerMsg::ShipAck {

@@ -79,9 +79,12 @@ use kernelc::LaunchError;
 /// Protocol magic: the first four bytes of every handshake frame.
 pub const MAGIC: [u8; 4] = *b"GRNT";
 
-/// Wire protocol version: bump on any layout change; both ends must
-/// match exactly (see [`decode_hello`]).
-pub const WIRE_VERSION: u16 = 6;
+/// Wire protocol version: bump on any change to the layout or to what a
+/// field means; both ends must match exactly (see [`decode_hello`]). v7
+/// has v6's frame bytes; what changed is the planner state a `ShipAck`
+/// digest is taken over (the DAG keeps fewer readers per array and a
+/// smaller frontier for the same ops), so a v6 standby would look diverged.
+pub const WIRE_VERSION: u16 = 7;
 
 /// Worker→controller clock-sync ping (`t1`), and controller→worker pong
 /// (`t1, t2`) — the tag is reused across the two directions' tag spaces.

@@ -285,6 +285,14 @@ else
   echo "(python3 unavailable; BENCH_interp.json written by the bench itself)"
 fi
 
+echo "==> op-log bench artifact (BENCH_oplog.json regenerates and parses)"
+cargo bench -q -p grout-bench --bench oplog
+if command -v python3 >/dev/null; then
+  python3 -m json.tool BENCH_oplog.json >/dev/null
+else
+  echo "(python3 unavailable; BENCH_oplog.json written by the bench itself)"
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

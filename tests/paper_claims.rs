@@ -228,4 +228,56 @@ fn fig9_scheduling_overhead_scaling() {
             assert!(g256 < 300.0, "{p} at 256 nodes under the paper envelope");
         }
     }
+    // The envelope is a claim about the Controller's whole per-CE step,
+    // not only the policy inside it: Algorithm 1 end to end (DAG insert,
+    // assignment, movements, directory update) with 256 live arrays.
+    if !cfg!(debug_assertions) {
+        for nodes in [64, 256] {
+            let us = plan_step_micros(nodes);
+            assert!(us < 30.0, "round-robin plan step at {nodes} nodes: {us} us");
+        }
+    }
+}
+
+/// Mean wall time of one `Planner::apply(PlanCe)` under round-robin on
+/// `nodes` workers: 256 live arrays, each CE read-modify-writes one and
+/// reads another, timed over 20k CEs after 2k of warm-up.
+fn plan_step_micros(nodes: usize) -> f64 {
+    use grout::core::{
+        ArrayId, Ce, CeArg, CeId, CeKind, KernelCost, Planner, PlannerConfig, PlannerOp,
+        PlannerResp,
+    };
+    let mut planner = Planner::new(PlannerConfig::new(nodes, PolicyKind::RoundRobin), None);
+    let arrays: Vec<ArrayId> = (0..256)
+        .map(
+            |_| match planner.apply(&PlannerOp::Alloc { bytes: 1 << 20 }) {
+                Ok(PlannerResp::Array(id)) => id,
+                other => panic!("alloc: {other:?}"),
+            },
+        )
+        .collect();
+    let ops: Vec<PlannerOp> = (0..22_000u64)
+        .map(|i| PlannerOp::PlanCe {
+            ce: Ce {
+                id: CeId(i),
+                kind: CeKind::Kernel {
+                    name: "k".into(),
+                    cost: KernelCost::default(),
+                },
+                args: vec![
+                    CeArg::read_write(arrays[(i * 7 % 256) as usize], 1 << 20),
+                    CeArg::read(arrays[((i * 7 + 1 + i * 13 % 255) % 256) as usize], 1 << 20),
+                ],
+            },
+        })
+        .collect();
+    let (warm, timed) = ops.split_at(2000);
+    for op in warm {
+        planner.apply(op).expect("plans");
+    }
+    let start = std::time::Instant::now();
+    for op in timed {
+        std::hint::black_box(planner.apply(op).expect("plans"));
+    }
+    start.elapsed().as_secs_f64() * 1e6 / timed.len() as f64
 }
