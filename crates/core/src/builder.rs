@@ -27,8 +27,8 @@
 
 use crate::faults::{FaultConfig, FaultPlan, NetFaultPlan};
 use crate::local_runtime::{LocalConfig, LocalError, LocalRuntime};
-use crate::policy::PolicyKind;
-use crate::scheduler::{PlanError, SchedTrace};
+use crate::policy::{LinkMatrix, PolicyKind};
+use crate::scheduler::{PlanError, PlannerConfig, SchedTrace};
 use crate::sim_runtime::{SimConfig, SimRuntime};
 use crate::telemetry::{Metrics, Recorder, Telemetry};
 
@@ -351,11 +351,18 @@ impl RuntimeBuilder {
     }
 }
 
+/// Most endpoints (controller plus workers) a planner may be built for:
+/// decoders refuse larger link matrices and fleets before allocating.
+pub const MAX_ENDPOINTS: usize = 4096;
+
 /// Validate the shared planner knobs; both `try_new` paths call this so
 /// the two backends reject the same configs with the same error.
-pub(crate) fn validate_planner(cfg: &crate::scheduler::PlannerConfig) -> Result<(), PlanError> {
+pub(crate) fn validate_planner(cfg: &PlannerConfig) -> Result<(), PlanError> {
     if cfg.workers == 0 {
         return Err(PlanError::InvalidConfig("need at least one worker"));
+    }
+    if cfg.workers >= MAX_ENDPOINTS {
+        return Err(PlanError::InvalidConfig("too many workers"));
     }
     if let PolicyKind::VectorStep(v) = &cfg.policy {
         if v.is_empty() || v.iter().all(|&c| c == 0) {
@@ -365,6 +372,25 @@ pub(crate) fn validate_planner(cfg: &crate::scheduler::PlannerConfig) -> Result<
         }
     }
     Ok(())
+}
+
+/// [`validate_planner`] plus the link-matrix checks: every input
+/// [`Planner::new`](crate::Planner::new) would panic on is an error. For
+/// planner configs read from a socket or a file.
+pub fn validate_planner_inputs(
+    cfg: &PlannerConfig,
+    links: Option<&LinkMatrix>,
+) -> Result<(), PlanError> {
+    validate_planner(cfg)?;
+    match links {
+        None if matches!(cfg.policy, PolicyKind::MinTransferTime(_)) => Err(
+            PlanError::InvalidConfig("min-transfer-time requires a link matrix"),
+        ),
+        Some(l) if l.endpoints() <= cfg.workers => Err(PlanError::InvalidConfig(
+            "link matrix must cover the controller and every worker",
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Uniform read access to a runtime's observability surfaces: the bounded

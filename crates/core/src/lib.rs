@@ -43,7 +43,10 @@ pub mod telemetry;
 mod timeline;
 pub mod transport;
 
-pub use builder::{DurabilityOptions, NetOptions, Observability, Runtime, RuntimeBuilder};
+pub use builder::{
+    validate_planner_inputs, DurabilityOptions, NetOptions, Observability, Runtime, RuntimeBuilder,
+    MAX_ENDPOINTS,
+};
 pub use ce::{ArrayId, Ce, CeArg, CeId, CeKind};
 pub use coherence::{Coherence, Location, PurgeReport};
 pub use dag::{AddOutcome, DagIndex, DepDag};
@@ -64,8 +67,8 @@ pub use scheduler::{
 };
 pub use session::{
     AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionError, BatchStats, FairShare,
-    FleetMux, Priority, SessionId, SessionOpLog, SessionOpSink, SessionTransport, SharedPlacement,
-    SESSION_ID_MASK, SESSION_SHIFT,
+    FleetMux, Priority, SessionId, SessionTransport, SharedPlacement, SESSION_ID_MASK,
+    SESSION_SHIFT,
 };
 pub use sim_runtime::{CeRecord, RunStats, SimConfig, SimRuntime};
 pub use telemetry::{

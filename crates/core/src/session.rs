@@ -38,7 +38,7 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::telemetry::{monotonic_ns, HistorySample, MetricsHistory, PeerSample, PeerWireStats};
 use crate::transport::{CtrlMsg, Liveness, SendLost, Transport, TransportRecvError, WorkerMsg};
-use crate::{ArrayId, LinkMatrix, OpSink, PlannerOp};
+use crate::{ArrayId, LinkMatrix};
 
 // ---------------------------------------------------------------------------
 // Session identity and id-space tagging.
@@ -1082,43 +1082,6 @@ impl Transport for SessionTransport {
 impl Drop for SessionTransport {
     fn drop(&mut self) {
         self.detach();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session-tagged op journaling.
-
-/// Consumer of a multi-session op stream: each planner mutation arrives
-/// tagged with its owning session, so journals, replay and the hot
-/// standby stay session-aware. `grout-net` implements the on-disk
-/// multi-session journal on top of this.
-pub trait SessionOpLog: Send {
-    /// One op from session `sid` at per-session log position `seq`.
-    fn append(&mut self, sid: SessionId, seq: u64, op: &PlannerOp, digest: Option<u64>);
-}
-
-/// An [`OpSink`] adapter tagging one session's planner ops into a shared
-/// [`SessionOpLog`]. Attach one per session runtime
-/// ([`crate::LocalRuntime::add_op_sink`]); all of them feed the same
-/// log.
-pub struct SessionOpSink<L: SessionOpLog> {
-    sid: SessionId,
-    log: Arc<Mutex<L>>,
-}
-
-impl<L: SessionOpLog> SessionOpSink<L> {
-    /// A sink for session `sid` feeding `log`.
-    pub fn new(sid: SessionId, log: Arc<Mutex<L>>) -> Self {
-        SessionOpSink { sid, log }
-    }
-}
-
-impl<L: SessionOpLog> OpSink for SessionOpSink<L> {
-    fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>) {
-        self.log
-            .lock()
-            .expect("session op log lock")
-            .append(self.sid, seq, op, digest);
     }
 }
 

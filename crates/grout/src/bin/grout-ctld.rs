@@ -45,10 +45,11 @@ use grout::core::eventlog::{self, EventLog};
 use grout::core::{
     monotonic_ns, AdmissionConfig, AdmissionController, AdmissionDecision, ChannelTransport,
     FleetMux, Liveness, MetricKind, MetricsSnapshot, OpSink, PlannerOp, Priority, Runtime,
-    SessionId, SessionOpSink, SharedPlacement,
+    SessionId, SharedPlacement,
 };
-use grout::net::ctld::{accept_client, SessionJournal};
+use grout::net::ctld::accept_client;
 use grout::net::http::{HttpServer, Introspect};
+use grout::net::oplog::JournalWriter;
 use grout::net::wire::{self, ClientMsg, CtldMsg};
 use grout::polyglot::run_script;
 use grout::{ChromeTracer, Polyglot, Shared, TcpConfig, TcpTransport};
@@ -84,7 +85,7 @@ const USAGE: &str = "usage: grout-ctld --listen <addr>
               --max-resident-bytes N  fleet-wide declared working-set budget
               --max-queue N           attach wait-queue depth (0 = reject when full)
   batching:   --batch                 coalesce each tick's frames per worker
-  durability: --journal <path.grsj>   session-tagged multi-tenant op journal
+  durability: --journal <path.grjl>   session-tagged multi-tenant op journal
   introspect: --http <addr>           serve /metrics /healthz /sessions /trace
               --trace-out <path>      write a fleet Chrome trace on exit
   lifecycle:  --accept N              exit after serving N clients (0 = forever)";
@@ -302,7 +303,7 @@ struct Daemon {
     fleet: Mutex<FleetMux>,
     admission: Arc<Mutex<Admission>>,
     promotions: Condvar,
-    journal: Option<Arc<Mutex<SessionJournal>>>,
+    journal: Option<JournalWriter>,
     registry: Arc<SessionRegistry>,
     /// The shared fleet trace (`--trace-out`): every session records
     /// through it on its own lane stripe.
@@ -647,9 +648,10 @@ fn serve(cli: Cli) -> Result<(), String> {
     };
     let workers = transport.workers();
     let journal = match &cli.journal {
-        Some(path) => Some(Arc::new(Mutex::new(SessionJournal::create(path).map_err(
-            |e| format!("cannot create journal `{}`: {e}", path.display()),
-        )?))),
+        Some(path) => Some(
+            JournalWriter::create(path)
+                .map_err(|e| format!("cannot create journal `{}`: {e}", path.display()))?,
+        ),
         None => None,
     };
     let tracer = cli
@@ -921,7 +923,8 @@ fn run_admitted(
         rt.set_telemetry(tracer.telemetry().for_session(sid.0));
     }
     if let Some(journal) = &daemon.journal {
-        rt.add_op_sink(Box::new(SessionOpSink::new(sid, Arc::clone(journal))));
+        let sink = journal.attach(sid, rt.planner().config(), &rt.planner().links().cloned());
+        rt.add_op_sink(Box::new(sink));
     }
     rt.add_op_sink(Box::new(RegistryOpSink {
         registry: Arc::clone(&daemon.registry),

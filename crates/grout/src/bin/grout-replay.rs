@@ -1,25 +1,26 @@
 //! `grout-replay` — reconstruct planner state from a crash-recovery
-//! journal written by `grout-run --journal`.
+//! journal written by `grout-run --journal` or `grout-ctld --journal`.
 //!
 //! Usage:
 //!   grout-replay <ops.grjl> [--verbose] [--stop-at N]
 //!
-//! Replays the journalled op log onto a freshly constructed planner —
-//! the same pure `apply` path the live run used — and prints a state
-//! summary plus the final state digest. When the journal carries a
+//! Replays each session's journalled op log onto a freshly constructed
+//! planner — the same pure `apply` path the live run used — and prints a
+//! state summary plus the final state digest. When a session carries a
 //! clean-exit footer, the reconstructed digest is verified against it
 //! and a mismatch exits nonzero: bit-exact reconstruction is the whole
-//! point.
+//! point. A `grout-ctld` journal holds one session per tenant; each is
+//! replayed and verified in turn under a `session N` heading.
 //!
-//! `--stop-at N` replays only the first N ops (record/replay debugging:
-//! bisect for the op that corrupted state); `--verbose` prints one line
-//! per op with the digest after applying it.
+//! `--stop-at N` replays only the first N ops of each session
+//! (record/replay debugging: bisect for the op that corrupted state);
+//! `--verbose` prints one line per op with the digest after applying it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use grout::core::Planner;
-use grout::net::oplog::{read_journal, Journal};
+use grout::net::oplog::{read_journal_sessions, Journal};
 
 struct Cli {
     journal: PathBuf,
@@ -27,7 +28,8 @@ struct Cli {
     stop_at: Option<usize>,
 }
 
-const USAGE: &str = "usage: grout-replay <ops.grjl> [--verbose] [--stop-at N]";
+const USAGE: &str =
+    "usage: grout-replay <grout-run|grout-ctld --journal file> [--verbose] [--stop-at N]";
 
 fn main() -> ExitCode {
     match parse(std::env::args().skip(1)) {
@@ -83,37 +85,50 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
     }))
 }
 
-/// Replays and verifies; `Ok(false)` means the run completed but the
-/// reconstructed digest contradicts the journal footer.
+/// Replays and verifies every session; `Ok(false)` means the run
+/// completed but some session's reconstructed digest contradicts its
+/// footer.
 fn run(cli: &Cli) -> Result<bool, String> {
-    let journal = read_journal(&cli.journal)
+    let (sessions, truncated) = read_journal_sessions(&cli.journal)
         .map_err(|e| format!("cannot read `{}`: {e}", cli.journal.display()))?;
-    if journal.truncated {
+    if truncated {
         eprintln!(
             "[grout-replay] journal tail is truncated (writer was killed mid-frame); \
              replaying the {} complete ops",
-            journal.ops.len()
+            sessions.values().map(|j| j.ops.len()).sum::<usize>()
         );
     }
+    let mut ok = true;
+    for (sid, journal) in &sessions {
+        if sessions.len() > 1 {
+            println!("session {}", sid.0);
+        }
+        ok &= replay_session(cli, journal);
+    }
+    Ok(ok)
+}
+
+/// Replays one session and verifies its footer; `false` on a mismatch.
+fn replay_session(cli: &Cli, journal: &Journal) -> bool {
     let end = cli
         .stop_at
         .unwrap_or(journal.ops.len())
         .min(journal.ops.len());
     let planner = if cli.verbose {
-        replay_verbose(&journal, end)
+        replay_verbose(journal, end)
     } else {
         journal.replay(cli.stop_at)
     };
-    print_summary(&journal, &planner, end);
+    print_summary(journal, &planner, end);
     if end < journal.ops.len() {
         // Partial replay: the footer (if any) describes the full log, so
         // there is nothing to verify against.
-        return Ok(true);
+        return true;
     }
     match journal.footer {
         Some(f) if f.digest == planner.state_digest() => {
             println!("footer digest verified: {:016x}", f.digest);
-            Ok(true)
+            true
         }
         Some(f) => {
             eprintln!(
@@ -121,11 +136,11 @@ fn run(cli: &Cli) -> Result<bool, String> {
                 f.digest,
                 planner.state_digest()
             );
-            Ok(false)
+            false
         }
         None => {
             println!("no footer (crashed run); replayed state is the recovery point");
-            Ok(true)
+            true
         }
     }
 }

@@ -33,12 +33,12 @@ pub use grout_core::{
     Lane, LatencyStat, LinkMatrix, LocalArg, LocalConfig, LocalRuntime, Location, LogLevel,
     MemAdvise, MetricFamily, MetricKind, Metrics, MetricsHistory, MetricsSnapshot, NetOptions,
     NodeScheduler, Observability, PolicyKind, Priority, PurgeReport, Recorder, Regime, Runtime,
-    RuntimeBuilder, SchedEvent, SessionId, SessionOpLog, SessionOpSink, SessionTransport, Shared,
-    SharedPlacement, SimConfig, SimRuntime, SimTime, Telemetry,
+    RuntimeBuilder, SchedEvent, SessionId, SessionTransport, Shared, SharedPlacement, SimConfig,
+    SimRuntime, SimTime, Telemetry,
 };
 pub use grout_net::{
     apply_durability, http_get, serve_shutdown, spawn_workerd, spawn_workerd_at, ClientOutcome,
-    CtldClient, DistBuilder, DistError, DistRuntime, HttpServer, Introspect, SessionJournal,
-    TcpConfig, TcpExt, TcpTransport, WorkerSpec,
+    CtldClient, DistBuilder, DistError, DistRuntime, HttpServer, Introspect, TcpConfig, TcpExt,
+    TcpTransport, WorkerSpec,
 };
 pub use grout_polyglot::{Language, Polyglot, Value};

@@ -7,36 +7,17 @@
 //! - the client handshake ([`client_connect`] / [`accept_client`]),
 //! - [`CtldClient`]: the typed connection `grout-run --connect` drives
 //!   (attach a script, stream [`CtldMsg`] frames back),
-//! - [`SessionJournal`]: the multi-session op journal — every planner
-//!   mutation of every tenant lands in one file as `(SessionId, seq,
-//!   PlannerOp)`, so journals and replay stay session-aware
-//!   ([`read_session_journal`] splits it back per tenant).
-//!
-//! ## Session journal file format
-//!
-//! ```text
-//! magic b"GRSJ" | version: u16 LE
-//! frame*: len: u32 LE | payload: sid u64 | seq u64 | op ([`wire::encode_op`])
-//! ```
-//!
-//! Append-only, crash-tolerant like the single-tenant journal: a torn
-//! tail frame is ignored on read.
+//! - [`read_session_journal`]: a `grout-ctld --journal` file split back
+//!   per tenant (the format is [`crate::oplog`]'s).
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::Path;
 
-use grout_core::{AdmissionError, PlannerOp, Priority, SessionId, SessionOpLog};
+use grout_core::{AdmissionError, PlannerOp, Priority, SessionId};
 
+use crate::oplog::read_journal_sessions;
 use crate::wire::{self, ClientMsg, CtldMsg, WireError};
-
-/// Session-journal file magic: the first four bytes.
-pub const SESSION_JOURNAL_MAGIC: [u8; 4] = *b"GRSJ";
-
-/// Session-journal format version.
-pub const SESSION_JOURNAL_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------------
 // Client handshake + typed connection.
@@ -170,140 +151,18 @@ impl CtldClient {
 }
 
 // ---------------------------------------------------------------------------
-// The multi-session op journal.
+// The daemon's journal, per tenant.
 
-/// One shared, session-tagged op journal for the whole control plane.
-/// Implements [`SessionOpLog`]; attach one
-/// [`grout_core::SessionOpSink`] per session runtime and every tenant's
-/// planner mutations land here in arrival order, each tagged with its
-/// owner.
-pub struct SessionJournal {
-    out: BufWriter<File>,
-}
-
-impl SessionJournal {
-    /// Creates (truncates) the journal at `path` and writes the header.
-    pub fn create(path: &Path) -> Result<Self, WireError> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(&SESSION_JOURNAL_MAGIC)?;
-        out.write_all(&SESSION_JOURNAL_VERSION.to_le_bytes())?;
-        out.flush()?;
-        Ok(SessionJournal { out })
-    }
-}
-
-impl SessionOpLog for SessionJournal {
-    fn append(&mut self, sid: SessionId, seq: u64, op: &PlannerOp, _digest: Option<u64>) {
-        let op_bytes = wire::encode_op(op);
-        let mut payload = Vec::with_capacity(16 + op_bytes.len());
-        payload.extend_from_slice(&sid.0.to_le_bytes());
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&op_bytes);
-        // Write-ahead semantics: the frame is on its way to disk before
-        // the planner proceeds; a failing disk surfaces on the next
-        // append's flush. Same best-effort stance as the single-tenant
-        // journal sink.
-        let _ = wire::write_frame(&mut self.out, &payload);
-    }
-}
-
-/// Reads a [`SessionJournal`] back, split per session: each entry is the
-/// session's `(seq, op)` stream in append order — feed it to
-/// [`grout_core::replay_ops`] to rebuild that tenant's planner. A torn
-/// tail frame (crashed writer) is ignored.
+/// Reads a `grout-ctld --journal` file back, split per session: each
+/// entry is the session's `(seq, op)` stream in append order — feed it to
+/// [`grout_core::replay_ops`] to rebuild that tenant's planner. A view
+/// over [`read_journal_sessions`]; a torn tail frame is ignored.
 pub fn read_session_journal(
     path: &Path,
 ) -> Result<BTreeMap<SessionId, Vec<(u64, PlannerOp)>>, WireError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    if raw.len() < 6 || raw[..4] != SESSION_JOURNAL_MAGIC {
-        return Err(WireError::Handshake(format!(
-            "{} is not a session journal (bad magic)",
-            path.display()
-        )));
-    }
-    let version = u16::from_le_bytes([raw[4], raw[5]]);
-    if version != SESSION_JOURNAL_VERSION {
-        return Err(WireError::Handshake(format!(
-            "session journal version {version}, this build reads {SESSION_JOURNAL_VERSION}"
-        )));
-    }
-    let mut cursor = &raw[6..];
-    let mut per_session: BTreeMap<SessionId, Vec<(u64, PlannerOp)>> = BTreeMap::new();
-    while cursor.len() >= 4 {
-        let len = u32::from_le_bytes(cursor[..4].try_into().unwrap()) as usize;
-        if cursor.len() < 4 + len {
-            break; // torn tail frame: the writer crashed mid-append
-        }
-        let payload = &cursor[4..4 + len];
-        cursor = &cursor[4 + len..];
-        if payload.len() < 16 {
-            return Err(WireError::Malformed("session journal record"));
-        }
-        let sid = SessionId(u64::from_le_bytes(payload[..8].try_into().unwrap()));
-        let seq = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-        let op = wire::decode_op(&payload[16..])?;
-        per_session.entry(sid).or_default().push((seq, op));
-    }
-    Ok(per_session)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use grout_core::ArrayId;
-
-    #[test]
-    fn session_journal_roundtrips_per_tenant() {
-        let dir = std::env::temp_dir().join(format!(
-            "grout-ctld-journal-{}-{:x}",
-            std::process::id(),
-            grout_core::monotonic_ns()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sessions.grsj");
-        {
-            let mut j = SessionJournal::create(&path).unwrap();
-            j.append(SessionId(1), 0, &PlannerOp::Alloc { bytes: 64 }, None);
-            j.append(SessionId(2), 0, &PlannerOp::Alloc { bytes: 128 }, None);
-            j.append(
-                SessionId(1),
-                1,
-                &PlannerOp::Free { array: ArrayId(0) },
-                None,
-            );
-            use std::io::Write as _;
-            j.out.flush().unwrap();
-        }
-        let back = read_session_journal(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[&SessionId(1)].len(), 2);
-        assert_eq!(back[&SessionId(1)][1].0, 1);
-        assert_eq!(back[&SessionId(2)].len(), 1);
-        assert!(matches!(
-            back[&SessionId(2)][0].1,
-            PlannerOp::Alloc { bytes: 128 }
-        ));
-
-        // The header is strict, like the single-tenant journal's: any
-        // other version or magic is a typed reject naming what was found.
-        let mut raw = std::fs::read(&path).unwrap();
-        raw[4..6].copy_from_slice(&(SESSION_JOURNAL_VERSION + 1).to_le_bytes());
-        std::fs::write(&path, &raw).unwrap();
-        match read_session_journal(&path) {
-            Err(WireError::Handshake(msg)) => assert!(
-                msg.contains(&format!("version {}", SESSION_JOURNAL_VERSION + 1))
-                    && msg.contains(&format!("reads {SESSION_JOURNAL_VERSION}")),
-                "{msg}"
-            ),
-            other => panic!("expected a version reject, got {other:?}"),
-        }
-        raw[0] = b'X';
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(
-            read_session_journal(&path),
-            Err(WireError::Handshake(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let (sessions, _) = read_journal_sessions(path)?;
+    Ok(sessions
+        .into_iter()
+        .map(|(sid, journal)| (sid, (0..).zip(journal.ops).collect()))
+        .collect())
 }

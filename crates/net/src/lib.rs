@@ -18,11 +18,10 @@
 //!   in-process threads run,
 //! - [`TcpExt`]/[`DistRuntime`]: the front-end gluing it onto
 //!   [`Runtime::builder()`](grout_core::Runtime::builder),
-//! - [`oplog`]: the crash-recovery journal and hot-standby log shipping
-//!   built on the planner's replicated op log,
+//! - [`oplog`]: the session-tagged crash-recovery journal and
+//!   hot-standby log shipping built on the planner's replicated op log,
 //! - [`ctld`]: the `grout-ctld` client protocol (`Hello::Client`
-//!   handshake, [`CtldClient`]) and the session-tagged multi-tenant op
-//!   journal,
+//!   handshake, [`CtldClient`]),
 //! - [`http`]: the hand-rolled HTTP/1.0 responder behind `--http` — the
 //!   live introspection plane (`/metrics`, `/healthz`, `/sessions`,
 //!   `/trace`) served from its own [`poll`] loop.
@@ -43,16 +42,15 @@ mod dist;
 mod transport;
 mod worker;
 
-pub use ctld::{
-    accept_client, client_connect, read_session_journal, ClientOutcome, CtldClient, SessionJournal,
-};
+pub use ctld::{accept_client, client_connect, read_session_journal, ClientOutcome, CtldClient};
 pub use dist::{
     apply_durability, spawn_workerd, spawn_workerd_at, DistBuilder, DistError, DistRuntime, TcpExt,
     WorkerSpec,
 };
 pub use http::{http_get, HttpServer, Introspect};
 pub use oplog::{
-    read_journal, standby_serve, Journal, JournalFooter, JournalSink, ShipSink, StandbyOutcome,
+    read_journal, read_journal_sessions, standby_serve, Journal, JournalFooter, JournalSink,
+    JournalWriter, ShipSink, StandbyOutcome,
 };
 pub use transport::{TcpConfig, TcpTransport};
 pub use worker::serve_shutdown;

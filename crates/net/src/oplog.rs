@@ -4,9 +4,10 @@
 //! live here:
 //!
 //! - [`JournalSink`] streams every [`PlannerOp`] to disk as it is
-//!   appended (`grout-run --journal`), producing a crash-recovery
-//!   write-ahead journal that `grout-replay` reconstructs the final
-//!   planner state from ([`read_journal`] + [`Journal::replay`]);
+//!   appended (`grout-run --journal`, one sink per tenant session under
+//!   `grout-ctld --journal`), producing a crash-recovery write-ahead
+//!   journal that `grout-replay` reconstructs each session's final
+//!   planner state from ([`read_journal_sessions`] + [`Journal::replay`]);
 //! - [`ShipSink`] tails the log over TCP to a hot-standby controller
 //!   (`grout-run --ship-log`), whose [`standby_serve`] loop applies each
 //!   op to a replica [`Planner`] and acknowledges it with the replica's
@@ -17,23 +18,31 @@
 //!
 //! ```text
 //! magic b"GRJL" | version: u16 LE
-//! frame*: tag: u8 | len: u32 LE | payload (len bytes)
+//! frame*: tag: u8 | len: u32 LE | sid: u64 LE | body (len - 8 bytes)
 //! ```
 //!
-//! The first frame is the header (tag `0x00`): the planner configuration
-//! plus the link matrix the planner was built with — probed matrices are
-//! run-specific, so replay must not re-probe. Each op is one tag-`0x01`
-//! frame ([`wire::encode_op`]). A tag-`0x02` footer (`last_seq`,
-//! `digest`) is written when the journalling process exits cleanly; a
-//! crashed run leaves no footer (and possibly a truncated tail frame),
-//! and replay still reconstructs every op that hit the disk.
+//! One file holds the logs of one or more sessions, their frames
+//! interleaved in write order and told apart by `sid`. A solo run is
+//! session 0; `grout-ctld` journals each tenant under its own id. Per
+//! session, the first frame is the header (tag `0x00`): the planner
+//! configuration plus the link matrix the planner was built with —
+//! probed matrices are run-specific, so replay must not re-probe. Each op
+//! is one tag-`0x01` frame ([`wire::encode_op`]); its seq is its position
+//! among the session's ops. A tag-`0x02` footer (`last_seq`, `digest`) is
+//! written when the session ends cleanly; a crashed process leaves no
+//! footer (and possibly a truncated tail frame), and replay still
+//! reconstructs every op that hit the disk.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
-use grout_core::{CtrlMsg, LinkMatrix, OpSink, Planner, PlannerConfig, PlannerOp, WorkerMsg};
+use grout_core::{
+    CtrlMsg, LinkMatrix, OpSink, Planner, PlannerConfig, PlannerOp, SessionId, WorkerMsg,
+};
 
 use crate::wire::{self, WireError};
 
@@ -46,8 +55,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"GRJL";
 /// transitions) joined the vocabulary. v3: same frames; the footer digest
 /// is taken over a DAG that keeps fewer readers per array and a smaller
 /// frontier for the same ops, so a v2 footer would not verify against
-/// this build's replay.
-pub const JOURNAL_VERSION: u16 = 3;
+/// this build's replay. v4: every frame carries its session id, so one
+/// file holds many sessions' logs.
+pub const JOURNAL_VERSION: u16 = 4;
 
 const TAG_HEADER: u8 = 0x00;
 const TAG_OP: u8 = 0x01;
@@ -57,22 +67,22 @@ const TAG_FOOTER: u8 = 0x02;
 /// state digest after applying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalFooter {
-    /// Log position of the journal's last op (0-based).
+    /// Log position of the session's last op (0-based).
     pub last_seq: u64,
     /// [`Planner::state_digest`] after the last op.
     pub digest: u64,
 }
 
-/// A fully parsed journal.
+/// One session's log, parsed.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    /// Planner configuration of the journalled run.
+    /// Planner configuration of the journalled session.
     pub cfg: PlannerConfig,
     /// Link matrix the planner was constructed with.
     pub links: Option<LinkMatrix>,
     /// Every op that hit the disk, in log order.
     pub ops: Vec<PlannerOp>,
-    /// Present only when the journalling process exited cleanly.
+    /// Present only when the session ended cleanly.
     pub footer: Option<JournalFooter>,
     /// True when the file ended mid-frame (the journalling process was
     /// killed while writing; every complete frame before it is in `ops`).
@@ -95,17 +105,22 @@ impl Journal {
     }
 }
 
-/// Reads and parses a journal file. A truncated tail frame (crashed
-/// writer) is not an error — see [`Journal::truncated`]; corrupt framing
-/// (bad magic, unknown tag, undecodable op) is.
-pub fn read_journal(path: &Path) -> Result<Journal, WireError> {
+/// Reads and parses a journal file into one [`Journal`] per session,
+/// plus whether the file ended mid-frame. A truncated tail frame
+/// (crashed writer) is not an error; corrupt framing (bad magic, unknown
+/// tag, a frame before its session's header or after its footer, an
+/// undecodable header or op) is.
+pub fn read_journal_sessions(
+    path: &Path,
+) -> Result<(BTreeMap<SessionId, Journal>, bool), WireError> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
+    parse_journal(&raw)
+}
+
+fn parse_journal(raw: &[u8]) -> Result<(BTreeMap<SessionId, Journal>, bool), WireError> {
     if raw.len() < 6 || raw[..4] != JOURNAL_MAGIC {
-        return Err(WireError::Handshake(format!(
-            "{} is not an op journal (bad magic)",
-            path.display()
-        )));
+        return Err(WireError::Handshake("not an op journal (bad magic)".into()));
     }
     let version = u16::from_le_bytes([raw[4], raw[5]]);
     if version != JOURNAL_VERSION {
@@ -113,103 +128,168 @@ pub fn read_journal(path: &Path) -> Result<Journal, WireError> {
             "journal version {version}, this build reads {JOURNAL_VERSION}"
         )));
     }
-    let mut pos = 6usize;
-    let mut header: Option<(PlannerConfig, Option<LinkMatrix>)> = None;
-    let mut ops = Vec::new();
-    let mut footer = None;
+    let mut sessions: BTreeMap<SessionId, Journal> = BTreeMap::new();
+    let mut rest = &raw[6..];
     let mut truncated = false;
-    while pos < raw.len() {
-        if pos + 5 > raw.len() {
+    while !rest.is_empty() {
+        let Some(len) = rest.get(1..5) else {
             truncated = true;
             break;
-        }
-        let tag = raw[pos];
-        let len = u32::from_le_bytes(raw[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        pos += 5;
-        if pos + len > raw.len() {
+        };
+        let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+        let Some(payload) = rest[5..].get(..len) else {
             truncated = true;
             break;
+        };
+        let tag = rest[0];
+        rest = &rest[5 + len..];
+        if payload.len() < 8 {
+            return Err(WireError::Malformed("journal frame without a session id"));
         }
-        let payload = &raw[pos..pos + len];
-        pos += len;
-        match tag {
-            TAG_HEADER => {
-                if header.is_some() {
-                    return Err(WireError::Malformed("duplicate journal header"));
-                }
-                header = Some(wire::decode_journal_header(payload)?);
+        let sid = SessionId(u64::from_le_bytes(payload[..8].try_into().unwrap()));
+        let body = &payload[8..];
+        if tag == TAG_HEADER {
+            let (cfg, links) = wire::decode_journal_header(body)?;
+            let fresh = Journal {
+                cfg,
+                links,
+                ops: Vec::new(),
+                footer: None,
+                truncated: false,
+            };
+            if sessions.insert(sid, fresh).is_some() {
+                return Err(WireError::Malformed("duplicate journal header"));
             }
-            TAG_OP => ops.push(wire::decode_op(payload)?),
+            continue;
+        }
+        let journal = sessions.get_mut(&sid).ok_or(WireError::Malformed(
+            "journal frame before its session header",
+        ))?;
+        if journal.footer.is_some() {
+            return Err(WireError::Malformed(
+                "journal frame after its session footer",
+            ));
+        }
+        match tag {
+            TAG_OP => journal.ops.push(wire::decode_op(body)?),
             TAG_FOOTER => {
-                let mut d = [0u8; 16];
-                if payload.len() != 16 {
-                    return Err(WireError::Malformed("journal footer size"));
-                }
-                d.copy_from_slice(payload);
-                footer = Some(JournalFooter {
-                    last_seq: u64::from_le_bytes(d[..8].try_into().unwrap()),
-                    digest: u64::from_le_bytes(d[8..].try_into().unwrap()),
+                let footer: [u8; 16] = body
+                    .try_into()
+                    .map_err(|_| WireError::Malformed("journal footer size"))?;
+                journal.footer = Some(JournalFooter {
+                    last_seq: u64::from_le_bytes(footer[..8].try_into().unwrap()),
+                    digest: u64::from_le_bytes(footer[8..].try_into().unwrap()),
                 });
             }
             _ => return Err(WireError::Malformed("journal frame tag")),
         }
     }
-    let (cfg, links) = header.ok_or(WireError::Malformed("journal missing header"))?;
-    Ok(Journal {
-        cfg,
-        links,
-        ops,
-        footer,
-        truncated,
-    })
+    for journal in sessions.values_mut() {
+        journal.truncated = truncated;
+    }
+    Ok((sessions, truncated))
 }
 
-/// An [`OpSink`] streaming ops to a journal file as they are appended.
+/// Reads a single-session journal (`grout-run --journal`): the
+/// [`read_journal_sessions`] view for files holding exactly one session.
+pub fn read_journal(path: &Path) -> Result<Journal, WireError> {
+    let (sessions, _) = read_journal_sessions(path)?;
+    let mut sessions = sessions.into_values();
+    match (sessions.next(), sessions.next()) {
+        (Some(journal), None) => Ok(journal),
+        (None, _) => Err(WireError::Malformed("journal missing header")),
+        (Some(_), Some(_)) => Err(WireError::Malformed(
+            "journal holds several sessions; read it with read_journal_sessions",
+        )),
+    }
+}
+
+/// An open journal file, shared by the [`JournalSink`]s of every session
+/// writing to it; clones are handles to the same file.
+#[derive(Clone)]
+pub struct JournalWriter {
+    /// `None` once a write failed: the first error stops the whole file.
+    out: Arc<Mutex<Option<BufWriter<File>>>>,
+    path: Arc<str>,
+}
+
+impl JournalWriter {
+    /// Creates (truncates) the journal at `path` and writes the file
+    /// preamble; sessions join with [`JournalWriter::attach`].
+    pub fn create(path: &Path) -> Result<Self, WireError> {
+        let mut out = BufWriter::new(File::create(path)?);
+        out.write_all(&JOURNAL_MAGIC)?;
+        out.write_all(&JOURNAL_VERSION.to_le_bytes())?;
+        out.flush()?;
+        Ok(JournalWriter {
+            out: Arc::new(Mutex::new(Some(out))),
+            path: path.display().to_string().into(),
+        })
+    }
+
+    /// Opens session `sid` in the file: writes its header and returns the
+    /// sink journalling its ops (attach it to the session's planner).
+    pub fn attach(
+        &self,
+        sid: SessionId,
+        cfg: &PlannerConfig,
+        links: &Option<LinkMatrix>,
+    ) -> JournalSink {
+        self.frame(TAG_HEADER, sid, &wire::encode_journal_header(cfg, links));
+        JournalSink {
+            file: self.clone(),
+            sid,
+            last: None,
+            last_seq: None,
+        }
+    }
+
+    /// Writes and flushes one frame — the journal is a write-ahead log,
+    /// and a crash must not lose acknowledged ops to a userspace buffer.
+    /// The first I/O error is logged once and stops the file.
+    fn frame(&self, tag: u8, sid: SessionId, body: &[u8]) {
+        // A writer that panicked mid-frame poisons the lock and stops the
+        // file; this also runs from `Drop`, so it must not panic.
+        let Ok(mut out) = self.out.lock() else { return };
+        let Some(file) = out.as_mut() else { return };
+        let mut prefix = [tag; 13];
+        prefix[1..5].copy_from_slice(&(body.len() as u32 + 8).to_le_bytes());
+        prefix[5..].copy_from_slice(&sid.0.to_le_bytes());
+        let wrote = file
+            .write_all(&prefix)
+            .and_then(|()| file.write_all(body))
+            .and_then(|()| file.flush());
+        if let Err(e) = wrote {
+            eprintln!("[grout] journal {}: {e}; journalling stops", self.path);
+            *out = None;
+        }
+    }
+}
+
+/// An [`OpSink`] streaming one session's ops to a journal file as they
+/// are appended, each frame flushed before the planner proceeds.
 ///
-/// Every op frame is flushed immediately — the journal is a write-ahead
-/// log, and a crash must not lose acknowledged ops to a userspace
-/// buffer. The footer is written on drop (clean exit); a killed process
-/// leaves a footer-less journal that [`read_journal`] still accepts.
+/// The footer is written on drop (clean exit); a killed process leaves a
+/// footer-less session that [`read_journal_sessions`] still accepts.
 pub struct JournalSink {
-    out: Option<BufWriter<File>>,
+    file: JournalWriter,
+    sid: SessionId,
     /// Last live (seq, digest) pair; catch-up ops carry no digest, so the
     /// footer is only written when the digest matches the final op.
     last: Option<(u64, u64)>,
     last_seq: Option<u64>,
-    path: String,
 }
 
 impl JournalSink {
-    /// Creates (truncates) the journal at `path` and writes the header.
+    /// Creates (truncates) a single-session journal at `path` and writes
+    /// the header of its session 0.
     pub fn create(
         path: &Path,
         cfg: &PlannerConfig,
         links: &Option<LinkMatrix>,
     ) -> Result<Self, WireError> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(&JOURNAL_MAGIC)?;
-        out.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-        let header = wire::encode_journal_header(cfg, links);
-        write_journal_frame(&mut out, TAG_HEADER, &header)?;
-        out.flush()?;
-        Ok(JournalSink {
-            out: Some(out),
-            last: None,
-            last_seq: None,
-            path: path.display().to_string(),
-        })
+        Ok(JournalWriter::create(path)?.attach(SessionId(0), cfg, links))
     }
-}
-
-fn write_journal_frame(
-    out: &mut BufWriter<File>,
-    tag: u8,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    out.write_all(&[tag])?;
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(payload)?;
-    Ok(())
 }
 
 impl OpSink for JournalSink {
@@ -218,14 +298,7 @@ impl OpSink for JournalSink {
     }
 
     fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>) {
-        let Some(out) = self.out.as_mut() else { return };
-        let frame = wire::encode_op(op);
-        let wrote = write_journal_frame(out, TAG_OP, &frame).and_then(|()| Ok(out.flush()?));
-        if let Err(e) = wrote {
-            eprintln!("[grout] journal {}: {e}; journalling stops", self.path);
-            self.out = None;
-            return;
-        }
+        self.file.frame(TAG_OP, self.sid, &wire::encode_op(op));
         self.last_seq = Some(seq);
         if let Some(d) = digest {
             self.last = Some((seq, d));
@@ -235,20 +308,16 @@ impl OpSink for JournalSink {
 
 impl Drop for JournalSink {
     fn drop(&mut self) {
-        let Some(mut out) = self.out.take() else {
-            return;
-        };
         // Footer only when the recorded digest belongs to the final op
-        // (always true in practice: the sink attaches before any op).
+        // (true whenever the session ran a live op after attaching).
         if let (Some((seq, digest)), Some(last_seq)) = (self.last, self.last_seq) {
             if seq == last_seq {
-                let mut payload = [0u8; 16];
-                payload[..8].copy_from_slice(&seq.to_le_bytes());
-                payload[8..].copy_from_slice(&digest.to_le_bytes());
-                let _ = write_journal_frame(&mut out, TAG_FOOTER, &payload);
+                let mut footer = [0u8; 16];
+                footer[..8].copy_from_slice(&seq.to_le_bytes());
+                footer[8..].copy_from_slice(&digest.to_le_bytes());
+                self.file.frame(TAG_FOOTER, self.sid, &footer);
             }
         }
-        let _ = out.flush();
     }
 }
 
@@ -481,7 +550,7 @@ pub fn standby_serve(listener: &TcpListener) -> Result<StandbyOutcome, WireError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grout_core::{LoggedPlanner, PolicyKind};
+    use grout_core::{ArrayId, LoggedPlanner, PolicyKind};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -489,26 +558,31 @@ mod tests {
         p
     }
 
-    fn drive(planner: &mut LoggedPlanner) {
+    /// Plans and completes one kernel reading `src` and writing `dst`.
+    fn kernel(planner: &mut LoggedPlanner, i: u64, src: ArrayId, dst: ArrayId) {
         use grout_core::{Ce, CeArg, CeId, CeKind, KernelCost};
+        let plan = planner
+            .plan_ce(&Ce {
+                id: CeId(i),
+                kind: CeKind::Kernel {
+                    name: "k".into(),
+                    cost: KernelCost {
+                        flops: 1e6,
+                        bytes_read: 1 << 20,
+                        bytes_written: 1 << 20,
+                    },
+                },
+                args: vec![CeArg::read(src, 1 << 20), CeArg::write(dst, 1 << 20)],
+            })
+            .expect("plan");
+        planner.mark_completed(plan.dag_index);
+    }
+
+    fn drive(planner: &mut LoggedPlanner) {
         let a = planner.alloc(1 << 20);
         let b = planner.alloc(1 << 20);
         for i in 0..4u64 {
-            let plan = planner
-                .plan_ce(&Ce {
-                    id: CeId(i),
-                    kind: CeKind::Kernel {
-                        name: "k".into(),
-                        cost: KernelCost {
-                            flops: 1e6,
-                            bytes_read: 1 << 20,
-                            bytes_written: 1 << 20,
-                        },
-                    },
-                    args: vec![CeArg::read(a, 1 << 20), CeArg::write(b, 1 << 20)],
-                })
-                .expect("plan");
-            planner.mark_completed(plan.dag_index);
+            kernel(planner, i, a, b);
         }
         planner.free(a);
     }
@@ -588,6 +662,170 @@ mod tests {
         assert!(journal.truncated);
         assert_eq!(journal.ops.len(), planner.ops().len() - 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Two tenants journalled through two sinks on one file, their ops
+    /// interleaved; returns each session's id, op log and final digest.
+    fn two_session_journal(path: &Path) -> Vec<(SessionId, Vec<PlannerOp>, u64)> {
+        let writer = JournalWriter::create(path).expect("create journal");
+        let inputs = [
+            (PlannerConfig::new(2, PolicyKind::RoundRobin), None),
+            (
+                PlannerConfig::new(3, PolicyKind::RoundRobin),
+                Some(LinkMatrix::uniform(4, 1e9)),
+            ),
+        ];
+        let mut tenants: Vec<(SessionId, LoggedPlanner)> = inputs
+            .into_iter()
+            .zip(1..)
+            .map(|((cfg, links), sid)| {
+                let mut p = LoggedPlanner::new(Planner::new(cfg.clone(), links.clone()));
+                p.add_sink(Box::new(writer.attach(SessionId(sid), &cfg, &links)));
+                (SessionId(sid), p)
+            })
+            .collect();
+        let arrays: Vec<_> = tenants
+            .iter_mut()
+            .map(|(_, p)| (p.alloc(1 << 20), p.alloc(1 << 20)))
+            .collect();
+        for i in 0..3 {
+            for ((_, p), &(src, dst)) in tenants.iter_mut().zip(&arrays) {
+                kernel(p, i, src, dst);
+            }
+        }
+        for ((_, p), &(src, _)) in tenants.iter_mut().zip(&arrays) {
+            p.free(src);
+        }
+        tenants
+            .into_iter()
+            .map(|(sid, p)| (sid, p.ops().to_vec(), p.state_digest()))
+            .collect() // the planners drop here: both footers are written
+    }
+
+    #[test]
+    fn two_session_journal_survives_every_cut_and_flip() {
+        let path = tmp("two-sessions");
+        let expected = two_session_journal(&path);
+        let raw = std::fs::read(&path).expect("read back");
+
+        // Clean file: every session whole, footer-verified by replay.
+        let (sessions, truncated) = parse_journal(&raw).expect("parse");
+        assert!(!truncated);
+        assert_eq!(sessions.len(), 2);
+        for (sid, ops, digest) in &expected {
+            let journal = &sessions[sid];
+            assert_eq!(&journal.ops, ops);
+            assert_eq!(
+                journal.footer,
+                Some(JournalFooter {
+                    last_seq: ops.len() as u64 - 1,
+                    digest: *digest
+                })
+            );
+            assert_eq!(journal.replay(None).state_digest(), *digest);
+        }
+        let per_tenant = crate::ctld::read_session_journal(&path).expect("session view");
+        for (sid, ops, _) in &expected {
+            let back: Vec<_> = (0..).zip(ops.iter().cloned()).collect();
+            assert_eq!(per_tenant[sid], back);
+        }
+        // The single-session view refuses a file holding two.
+        assert!(matches!(read_journal(&path), Err(WireError::Malformed(_))));
+
+        // Frame boundaries: (end offset, owner, tag) of every frame.
+        let mut frames = Vec::new();
+        let mut pos = 6;
+        while pos < raw.len() {
+            let len = u32::from_le_bytes(raw[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            let sid = SessionId(u64::from_le_bytes(
+                raw[pos + 5..pos + 13].try_into().unwrap(),
+            ));
+            frames.push((pos + 5 + len, sid, raw[pos]));
+            pos += 5 + len;
+        }
+        assert_eq!(pos, raw.len());
+
+        // Every cut: a typed error inside the preamble, otherwise each
+        // session is an exact prefix of its ops, and `truncated` is set
+        // iff the cut falls mid-frame.
+        for cut in 0..=raw.len() {
+            if cut < 6 {
+                assert!(
+                    matches!(parse_journal(&raw[..cut]), Err(WireError::Handshake(_))),
+                    "cut at {cut}"
+                );
+                continue;
+            }
+            let (sessions, truncated) =
+                parse_journal(&raw[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            let whole: Vec<_> = frames.iter().filter(|f| f.0 <= cut).collect();
+            let on_boundary = cut == 6 || whole.last().is_some_and(|f| f.0 == cut);
+            assert_eq!(truncated, !on_boundary, "cut at {cut}");
+            let headers = whole.iter().filter(|f| f.2 == TAG_HEADER).count();
+            assert_eq!(sessions.len(), headers, "cut at {cut}");
+            for (sid, journal) in &sessions {
+                let (_, ops, _) = expected.iter().find(|e| e.0 == *sid).unwrap();
+                let kept = whole
+                    .iter()
+                    .filter(|f| f.1 == *sid && f.2 == TAG_OP)
+                    .count();
+                assert_eq!(journal.ops[..], ops[..kept], "cut at {cut}");
+                let footer = whole.iter().any(|f| f.1 == *sid && f.2 == TAG_FOOTER);
+                assert_eq!(journal.footer.is_some(), footer, "cut at {cut}");
+            }
+        }
+
+        // Every single-byte flip parses or returns a typed error, never a
+        // panic. Replaying a flip that still decodes is out of scope: the
+        // format has no per-frame checksum, so a flipped op field can
+        // decode to a different but well-formed op.
+        for i in 0..raw.len() {
+            let mut flipped = raw.clone();
+            flipped[i] ^= 0xFF;
+            let parsed = parse_journal(&flipped);
+            if i < 6 {
+                assert!(
+                    matches!(parsed, Err(WireError::Handshake(_))),
+                    "flip at {i}"
+                );
+            }
+        }
+
+        // The preamble is strict: any other version (the previous format
+        // included) or magic is a typed reject naming what was found.
+        let mut old = raw.clone();
+        old[4..6].copy_from_slice(&3u16.to_le_bytes());
+        match parse_journal(&old) {
+            Err(WireError::Handshake(msg)) => assert!(
+                msg.contains("version 3") && msg.contains(&format!("reads {JOURNAL_VERSION}")),
+                "{msg}"
+            ),
+            other => panic!("expected a version reject, got {other:?}"),
+        }
+        old[0] = b'X';
+        assert!(matches!(parse_journal(&old), Err(WireError::Handshake(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn journal_header_with_zero_workers_is_refused() {
+        let path = tmp("zero-workers");
+        let cfg = PlannerConfig::new(0, PolicyKind::RoundRobin);
+        drop(JournalSink::create(&path, &cfg, &None).expect("create journal"));
+        assert!(matches!(read_journal(&path), Err(WireError::Malformed(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn standby_refuses_a_zero_worker_ship_init() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let standby = std::thread::spawn(move || standby_serve(&listener).map(drop));
+        let cfg = PlannerConfig::new(0, PolicyKind::RoundRobin);
+        let sink = ShipSink::connect(&addr, &cfg, &None).expect("connect standby");
+        let served = standby.join().expect("the standby must not panic");
+        assert!(matches!(served, Err(WireError::Malformed(_))), "{served:?}");
+        drop(sink);
     }
 
     #[test]

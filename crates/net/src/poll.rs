@@ -17,6 +17,8 @@ use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
+use crate::wire::MAX_FRAME;
+
 /// Readable readiness (POLLIN).
 pub const POLLIN: i16 = 0x001;
 /// Writable readiness (POLLOUT).
@@ -129,10 +131,6 @@ impl Clone for WakeHandle {
     }
 }
 
-/// Frames larger than this are a protocol error (matches the wire codec's
-/// sanity limit): 1 GiB.
-pub const MAX_FRAME: usize = 1 << 30;
-
 /// Incremental decoder for the `u32`-LE length-prefixed framing used on
 /// every GrOUT socket. Push whatever the socket yields; pull complete
 /// frames out.
@@ -168,7 +166,7 @@ impl FrameBuf {
             return Ok(None);
         }
         let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_FRAME {
+        if len > MAX_FRAME as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("frame length {len} exceeds the {MAX_FRAME} cap"),

@@ -69,10 +69,11 @@
 use std::io::{Read, Write};
 
 use grout_core::{
-    AccessMode, AccessPattern, AdmissionError, ArrayId, Ce, CeArg, CeId, CeKind, CtrlMsg,
-    ExecFault, ExecSpec, ExplorationLevel, FaultConfig, FaultEvent, FaultKind, FaultPlan, HostBuf,
-    KernelCost, LinkMatrix, LocalArg, MemAdvise, PlannerConfig, PlannerOp, PolicyKind, Priority,
-    SimDuration, WorkerCounters, WorkerMsg, WorkerSpan, WorkerSpanKind,
+    validate_planner_inputs, AccessMode, AccessPattern, AdmissionError, ArrayId, Ce, CeArg, CeId,
+    CeKind, CtrlMsg, ExecFault, ExecSpec, ExplorationLevel, FaultConfig, FaultEvent, FaultKind,
+    FaultPlan, HostBuf, KernelCost, LinkMatrix, LocalArg, MemAdvise, PlanError, PlannerConfig,
+    PlannerOp, PolicyKind, Priority, SimDuration, WorkerCounters, WorkerMsg, WorkerSpan,
+    WorkerSpanKind, MAX_ENDPOINTS,
 };
 use kernelc::LaunchError;
 
@@ -574,7 +575,7 @@ fn enc_links(e: &mut Enc, links: &LinkMatrix) {
 
 fn dec_links(d: &mut Dec) -> Result<LinkMatrix, WireError> {
     let n = d.u32()? as usize;
-    if n == 0 || n > 4096 {
+    if n == 0 || n > MAX_ENDPOINTS {
         return Err(WireError::Malformed("link-matrix size"));
     }
     let mut bw = Vec::with_capacity(n);
@@ -648,24 +649,6 @@ fn dec_fault_kind(d: &mut Dec) -> Result<FaultKind, WireError> {
         },
         _ => return Err(WireError::Malformed("fault-kind tag")),
     })
-}
-
-/// Encodes a full planner configuration (the planner's construction
-/// input, shipped in [`CtrlMsg::ShipInit`] and stored in journal headers).
-pub fn encode_planner_config(cfg: &PlannerConfig) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_planner_config(&mut e, cfg);
-    e.into_bytes()
-}
-
-/// Decodes a [`encode_planner_config`] payload.
-pub fn decode_planner_config(payload: &[u8]) -> Result<PlannerConfig, WireError> {
-    let mut d = Dec::new(payload);
-    let cfg = dec_planner_config(&mut d)?;
-    if !d.finished() {
-        return Err(WireError::Malformed("trailing bytes"));
-    }
-    Ok(cfg)
 }
 
 fn enc_planner_config(e: &mut Enc, cfg: &PlannerConfig) {
@@ -754,6 +737,19 @@ fn dec_planner_config(d: &mut Dec) -> Result<PlannerConfig, WireError> {
     })
 }
 
+/// Decodes a planner's construction inputs and refuses any on which
+/// [`grout_core::Planner::new`] would panic: they come from a socket or a
+/// file, so a bad worker count or policy is a malformed frame.
+fn dec_planner_inputs(d: &mut Dec) -> Result<(PlannerConfig, Option<LinkMatrix>), WireError> {
+    let cfg = dec_planner_config(d)?;
+    let links = dec_opt_links(d)?;
+    validate_planner_inputs(&cfg, links.as_ref()).map_err(|e| match e {
+        PlanError::InvalidConfig(why) => WireError::Malformed(why),
+        _ => WireError::Malformed("planner config"),
+    })?;
+    Ok((cfg, links))
+}
+
 /// Encodes a planner's construction inputs — configuration plus the
 /// (possibly probed, run-specific) link matrix — as one payload: the
 /// journal header of [`crate::oplog`].
@@ -769,12 +765,11 @@ pub fn decode_journal_header(
     payload: &[u8],
 ) -> Result<(PlannerConfig, Option<LinkMatrix>), WireError> {
     let mut d = Dec::new(payload);
-    let cfg = dec_planner_config(&mut d)?;
-    let links = dec_opt_links(&mut d)?;
+    let inputs = dec_planner_inputs(&mut d)?;
     if !d.finished() {
         return Err(WireError::Malformed("trailing bytes"));
     }
-    Ok((cfg, links))
+    Ok(inputs)
 }
 
 /// Encodes one [`PlannerOp`] (standalone payload: log shipping nests it
@@ -1094,10 +1089,10 @@ pub fn decode_ctrl(payload: &[u8]) -> Result<CtrlMsg, WireError> {
                 _ => return Err(WireError::Malformed("observe flag")),
             },
         },
-        10 => CtrlMsg::ShipInit {
-            cfg: dec_planner_config(&mut d)?,
-            links: dec_opt_links(&mut d)?,
-        },
+        10 => {
+            let (cfg, links) = dec_planner_inputs(&mut d)?;
+            CtrlMsg::ShipInit { cfg, links }
+        }
         11 => CtrlMsg::ShipOp {
             seq: d.u64()?,
             op: dec_op(&mut d)?,
@@ -2331,14 +2326,37 @@ mod tests {
                 ..FaultConfig::default()
             },
         };
-        let out = decode_planner_config(&encode_planner_config(&cfg)).expect("roundtrip");
+        let links = Some(LinkMatrix::uniform(4, 1e9));
+        let (out, _) =
+            decode_journal_header(&encode_journal_header(&cfg, &links)).expect("roundtrip");
         assert_eq!(out, cfg);
 
         let vs = PlannerConfig::new(2, PolicyKind::VectorStep(vec![1, 2, 3]));
         assert_eq!(
-            decode_planner_config(&encode_planner_config(&vs)).unwrap(),
+            decode_journal_header(&encode_journal_header(&vs, &None))
+                .unwrap()
+                .0,
             vs
         );
+
+        // Inputs `Planner::new` would panic on (or over-allocate for) are
+        // malformed frames, not planners.
+        let bad = [
+            (PlannerConfig::new(0, PolicyKind::RoundRobin), None),
+            (PlannerConfig::new(5000, PolicyKind::RoundRobin), None),
+            (
+                PlannerConfig::new(2, PolicyKind::VectorStep(vec![0, 0])),
+                None,
+            ),
+            (cfg.clone(), None),
+            (cfg, Some(LinkMatrix::uniform(3, 1e9))),
+        ];
+        for (cfg, links) in bad {
+            assert!(matches!(
+                decode_journal_header(&encode_journal_header(&cfg, &links)),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

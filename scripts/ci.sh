@@ -208,7 +208,7 @@ EOF
 # exactly these bytes back.
 timeout 120 ./target/release/grout-run --workers 2 target/ci-ctld.gs > target/ci-ctld-ref.out
 ./target/release/grout-ctld --listen 127.0.0.1:7441 --threads 2 --batch --accept 2 \
-  > target/ci-ctld.log 2>&1 & CTLD=$!
+  --journal target/ci-ctld.grjl > target/ci-ctld.log 2>&1 & CTLD=$!
 trap 'kill "$CTLD" 2>/dev/null || true' EXIT
 for _ in $(seq 100); do
   grep -q "CTLD LISTENING" target/ci-ctld.log 2>/dev/null && break
@@ -225,7 +225,11 @@ timeout 60 tail --pid="$CTLD" -f /dev/null || kill "$CTLD" 2>/dev/null || true
 trap - EXIT
 diff target/ci-ctld-ref.out target/ci-ctld-a.out
 diff target/ci-ctld-ref.out target/ci-ctld-b.out
-echo "grout-ctld e2e OK: both tenants bit-identical to the solo run"
+# The daemon's journal holds one session per client; grout-replay must
+# rebuild each and verify it against its footer digest.
+./target/release/grout-replay target/ci-ctld.grjl > target/ci-ctld-replay.out
+test "$(grep -c "footer digest verified" target/ci-ctld-replay.out)" -eq 2
+echo "grout-ctld e2e OK: both tenants bit-identical to the solo run, both journalled sessions verified"
 
 echo "==> introspection e2e (live /metrics + /healthz + grout-top against grout-ctld --http)"
 ./target/release/grout-ctld --listen 127.0.0.1:7451 --threads 2 \
