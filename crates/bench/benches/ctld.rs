@@ -1,9 +1,6 @@
 //! Control-plane benchmarks: the costs and wins of the multi-tenant
 //! session layer, measured on one shared in-process fleet.
 //!
-//! - `attach_detach`: minting a session on a live [`FleetMux`] and
-//!   tearing it down again (namespace attach, fair-share registration,
-//!   reclaim broadcast);
 //! - `ops_per_s_{1,4,16}`: aggregate kernel-CE throughput with 1, 4 and
 //!   16 concurrent tenant sessions driving the same two-worker fleet —
 //!   the multi-tenancy scaling curve;
@@ -11,14 +8,16 @@
 //!   control message at 16 concurrent sessions with CE batching off vs
 //!   on — the before/after the `--batch` knob buys.
 //!
-//! Besides the console lines, results land in `BENCH_ctld.json` at the
-//! repo root so runs can be diffed in review.
+//! Rows land in `target/bench/BENCH_ctld.json` (see `grout_bench::micro`).
+//! Attach/detach latency is the repository benchmark's
+//! `session.attach_detach_us` probe.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use grout::core::{BatchStats, ChannelTransport, FleetMux, LocalRuntime, Runtime};
 use grout::LocalArg;
+use grout_bench::micro::Bench;
 
 const N: usize = 256;
 const LAUNCHES_PER_SESSION: u64 = 24;
@@ -29,12 +28,6 @@ const SRC: &str = "
         if (i < n) { y[i] = a * y[i]; }
     }
 ";
-
-struct Row {
-    name: &'static str,
-    value: f64,
-    unit: &'static str,
-}
 
 fn session_workload(rt: &mut LocalRuntime) {
     let ks = kernelc::compile(SRC).expect("compiles");
@@ -86,25 +79,7 @@ fn run_fleet(sessions: usize, batch: bool) -> (Duration, BatchStats) {
 }
 
 fn main() {
-    let mut rows = Vec::new();
-
-    // Attach/detach latency on a live fleet.
-    let mut fleet = FleetMux::new(Box::new(ChannelTransport::new(2)));
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < Duration::from_millis(200) {
-        let session = fleet.session(2);
-        drop(session); // detach: reclaim broadcast + fair-share removal
-        iters += 1;
-    }
-    let attach_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    fleet.shutdown();
-    println!("bench ctld/attach_detach: {attach_ns:.1} ns/iter ({iters} iters)");
-    rows.push(Row {
-        name: "attach_detach",
-        value: attach_ns,
-        unit: "ns_per_iter",
-    });
+    let mut bench = Bench::new("ctld", &[]);
 
     // Multi-tenancy scaling: aggregate CE throughput at 1/4/16 sessions.
     for (name, sessions) in [
@@ -114,13 +89,7 @@ fn main() {
     ] {
         let (elapsed, _) = run_fleet(sessions, false);
         let ces = (sessions as u64 * LAUNCHES_PER_SESSION) as f64;
-        let ops_per_s = ces / elapsed.as_secs_f64();
-        println!("bench ctld/{name}: {ops_per_s:.0} CE/s ({ces} CEs in {elapsed:?})");
-        rows.push(Row {
-            name,
-            value: ops_per_s,
-            unit: "ce_per_s",
-        });
+        bench.row(name, ces / elapsed.as_secs_f64(), "ce_per_s");
     }
 
     // CE batching: frames per logical message at 16 sessions, off vs on.
@@ -128,60 +97,17 @@ fn main() {
     let (_, batched) = run_fleet(16, true);
     let ratio = |s: &BatchStats| s.frames as f64 / s.messages.max(1) as f64;
     let (off, on) = (ratio(&unbatched), ratio(&batched));
-    println!(
-        "bench ctld/frames_per_ce: {off:.3} unbatched vs {on:.3} batched \
-         ({} of {} frames were batches)",
-        batched.batched_frames, batched.frames
-    );
     assert!(
         on < off,
         "batching must reduce frames per CE at 16 sessions ({on:.3} !< {off:.3})"
     );
-    rows.push(Row {
-        name: "frames_per_ce_unbatched_x16",
-        value: off,
-        unit: "frames_per_msg",
-    });
-    rows.push(Row {
-        name: "frames_per_ce_batched_x16",
-        value: on,
-        unit: "frames_per_msg",
-    });
-    rows.push(Row {
-        name: "batched_frame_share_x16",
-        value: batched.batched_frames as f64 / batched.frames.max(1) as f64,
-        unit: "ratio",
-    });
+    bench.row("frames_per_ce_unbatched_x16", off, "frames_per_msg");
+    bench.row("frames_per_ce_batched_x16", on, "frames_per_msg");
+    bench.row(
+        "batched_frame_share_x16",
+        batched.batched_frames as f64 / batched.frames.max(1) as f64,
+        "ratio",
+    );
 
-    write_artifact(&rows);
-}
-
-fn write_artifact(rows: &[Row]) {
-    use serde::json::Value;
-
-    struct Artifact<'a>(&'a [Row]);
-    impl serde::Serialize for Artifact<'_> {
-        fn to_json_value(&self) -> Value {
-            let rows = self
-                .0
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("name".into(), Value::String(r.name.into())),
-                        ("value".into(), Value::F64(r.value)),
-                        ("unit".into(), Value::String(r.unit.into())),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("bench".into(), Value::String("ctld".into())),
-                ("results".into(), Value::Array(rows)),
-            ])
-        }
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ctld.json");
-    let body = serde_json::to_string_pretty(&Artifact(rows)).expect("serialize");
-    std::fs::write(path, body + "\n").expect("write BENCH_ctld.json");
-    println!("bench ctld: artifact written to BENCH_ctld.json");
+    bench.finish();
 }

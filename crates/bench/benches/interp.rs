@@ -8,14 +8,15 @@
 //! the rows without the suffix are wall time with every core the launch
 //! is allowed to use (`cores` is recorded beside them).
 //!
-//! Besides the console lines, results land in `BENCH_interp.json` at the
-//! repo root. Each row is paired with a `*_before` row: the same case
-//! measured at the parent commit of the bytecode back end (c48c7c7, the
-//! tree-walking executor) on the 2-vCPU box the rows were committed from.
+//! Rows land in `target/bench/BENCH_interp.json` (see `grout_bench::micro`).
+//! Each row is paired with a `*_before` row: the same case measured at the
+//! parent commit of the bytecode back end (c48c7c7, the tree-walking
+//! executor) on the 2-vCPU box the rows were committed from.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use grout::workloads::{BLACK_SCHOLES_KERNEL, MV_KERNEL};
+use grout_bench::micro::{time, Bench};
 use kernelc::{compile_one, KernelArg};
 
 /// `(row name, value)` at c48c7c7 (median of three runs of this file
@@ -32,50 +33,23 @@ const BEFORE: &[(&str, f64)] = &[
     ("local_runtime_dependent_chain_64", 14747758.8),
 ];
 
-struct Row {
-    name: String,
-    value: f64,
-    unit: &'static str,
-}
-
-/// Times `routine` for at least `budget` (and at least three rounds),
-/// returning ns per iteration.
-fn time(budget: Duration, mut routine: impl FnMut()) -> f64 {
-    routine(); // warm-up: lazy allocations stay out of the measurement
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < 3 || start.elapsed() < budget {
-        routine();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 fn main() {
     let budget = Duration::from_millis(700);
-    let mut rows = Vec::new();
-    let mut row = |name: &str, value: f64, unit: &'static str| {
-        println!("bench interp/{name}: {value:.1} {unit}");
-        rows.push(Row {
-            name: name.into(),
-            value,
-            unit,
-        });
-    };
+    let mut bench = Bench::new("interp", BEFORE);
 
-    row(
+    bench.row(
         "cores",
         std::thread::available_parallelism().map_or(1, |n| n.get()) as f64,
         "count",
     );
-    row(
+    bench.row(
         "compile_black_scholes",
         time(budget, || {
             compile_one(BLACK_SCHOLES_KERNEL, "black_scholes").unwrap();
         }),
         "ns_per_iter",
     );
-    row(
+    bench.row(
         "compile_mv",
         time(budget, || {
             compile_one(MV_KERNEL, "mv").unwrap();
@@ -108,7 +82,7 @@ fn main() {
             )
             .unwrap();
     });
-    row("saxpy_256k", ns / n as f64, "ns_per_elem");
+    bench.row("saxpy_256k", ns / n as f64, "ns_per_elem");
 
     let bs = compile_one(BLACK_SCHOLES_KERNEL, "black_scholes").unwrap();
     let mut spot: Vec<f32> = (0..n).map(|i| 60.0 + (i % 800) as f32 * 0.1).collect();
@@ -137,8 +111,8 @@ fn main() {
     };
     let wall = black_scholes((n as u32).div_ceil(256), 256);
     let per_core = black_scholes(1, 1 << 16);
-    row("black_scholes_256k", wall, "ns_per_option");
-    row("black_scholes_per_core", per_core, "ns_per_option");
+    bench.row("black_scholes_256k", wall, "ns_per_option");
+    bench.row("black_scholes_per_core", per_core, "ns_per_option");
 
     let mv = compile_one(MV_KERNEL, "mv").unwrap();
     let dim = 512usize;
@@ -164,8 +138,8 @@ fn main() {
     };
     let wall = mv_512(2, 256);
     let per_core = mv_512(1, 512);
-    row("mv_512", wall, "ns_per_inner_iter");
-    row("mv_512_per_core", per_core, "ns_per_inner_iter");
+    bench.row("mv_512", wall, "ns_per_inner_iter");
+    bench.row("mv_512_per_core", per_core, "ns_per_inner_iter");
 
     // The benchmark's `kernelc.launch_fixed_us` shape: 256 elements as
     // two blocks of 128.
@@ -191,15 +165,15 @@ fn main() {
             )
             .unwrap();
     });
-    row("scale_2x128_launch", ns, "ns_per_launch");
+    bench.row("scale_2x128_launch", ns, "ns_per_launch");
 
-    row(
+    bench.row(
         "local_runtime_dependent_chain_64",
         time(budget, dependent_chain_64),
         "ns_per_iter",
     );
 
-    write_artifact(&rows);
+    bench.finish();
 }
 
 /// End-to-end framework overhead: dependent 4 KiB kernels through the
@@ -227,37 +201,4 @@ fn dependent_chain_64() {
             .unwrap();
     }
     rt.synchronize().unwrap();
-}
-
-fn write_artifact(rows: &[Row]) {
-    use serde::json::Value;
-
-    let row = |name: String, value: f64, unit: &str| {
-        Value::Object(vec![
-            ("name".into(), Value::String(name)),
-            ("value".into(), Value::F64(value)),
-            ("unit".into(), Value::String(unit.into())),
-        ])
-    };
-    let mut out = Vec::new();
-    for r in rows {
-        out.push(row(r.name.clone(), r.value, r.unit));
-        if let Some((_, before)) = BEFORE.iter().find(|(name, _)| *name == r.name) {
-            out.push(row(format!("{}_before", r.name), *before, r.unit));
-        }
-    }
-    struct Artifact(Vec<Value>);
-    impl serde::Serialize for Artifact {
-        fn to_json_value(&self) -> Value {
-            Value::Object(vec![
-                ("bench".into(), Value::String("interp".into())),
-                ("results".into(), Value::Array(self.0.clone())),
-            ])
-        }
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
-    let body = serde_json::to_string_pretty(&Artifact(out)).expect("serialize");
-    std::fs::write(path, body + "\n").expect("write BENCH_interp.json");
-    println!("bench interp: artifact written to BENCH_interp.json");
 }

@@ -11,38 +11,13 @@
 //! - `eventlog_line`: emitting one structured JSONL event into a void
 //!   sink — the per-log-line serialization cost.
 //!
-//! Besides the console lines, results land in `BENCH_obs.json` at the
-//! repo root so runs can be diffed in review.
+//! Rows land in `target/bench/BENCH_obs.json` (see `grout_bench::micro`).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use grout::core::eventlog::{EventLog, Value as JsonValue};
 use grout::core::{HistorySample, Metrics, MetricsHistory, PeerSample, PeerWireStats};
-
-struct Row {
-    name: &'static str,
-    value: f64,
-    unit: &'static str,
-}
-
-/// Times `routine` for at least `budget`, returning ns per iteration.
-fn time(name: &'static str, budget: Duration, mut routine: impl FnMut()) -> Row {
-    // Warm-up round so lazy allocations do not land in the measurement.
-    routine();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < budget {
-        routine();
-        iters += 1;
-    }
-    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("bench obs/{name}: {ns:.1} ns/iter ({iters} iters)");
-    Row {
-        name,
-        value: ns,
-        unit: "ns_per_iter",
-    }
-}
+use grout_bench::micro::{time, Bench};
 
 /// A registry shaped like a busy 4-worker fleet mid-run.
 fn populated_metrics() -> Metrics {
@@ -97,18 +72,18 @@ fn sample() -> HistorySample {
 
 fn main() {
     let budget = Duration::from_millis(200);
-    let mut rows = Vec::new();
+    let mut bench = Bench::new("obs", &[]);
 
     let metrics = populated_metrics();
-    rows.push(time("metrics_snapshot", budget, || {
+    let ns = time(budget, || {
         let snap = metrics.snapshot(&[("role", "session")]);
         assert!(!snap.is_empty());
-    }));
+    });
+    bench.row("metrics_snapshot", ns, "ns_per_iter");
 
     let mut history = MetricsHistory::new();
-    rows.push(time("history_push", budget, || {
-        history.push(sample());
-    }));
+    let ns = time(budget, || history.push(sample()));
+    bench.row("history_push", ns, "ns_per_iter");
 
     let snap = metrics.snapshot(&[("role", "session")]);
     let body = snap.to_prometheus();
@@ -117,15 +92,12 @@ fn main() {
         body.len(),
         snap.families().len()
     );
-    rows.push(time("metrics_render", budget, || {
+    let ns = time(budget, || {
         let body = snap.to_prometheus();
         assert!(!body.is_empty());
-    }));
-    rows.push(Row {
-        name: "metrics_render_bytes",
-        value: body.len() as f64,
-        unit: "bytes",
     });
+    bench.row("metrics_render", ns, "ns_per_iter");
+    bench.row("metrics_render_bytes", body.len() as f64, "bytes");
 
     // A sink that only counts: measures serialization, not I/O.
     struct Void;
@@ -138,7 +110,7 @@ fn main() {
         }
     }
     let log = EventLog::to_writer("bench", Box::new(Void)).with_rate_cap(u32::MAX);
-    rows.push(time("eventlog_line", budget, || {
+    let ns = time(budget, || {
         log.info(
             "bench_event",
             Some(7),
@@ -148,37 +120,8 @@ fn main() {
                 ("bytes", JsonValue::U64(1 << 20)),
             ],
         );
-    }));
+    });
+    bench.row("eventlog_line", ns, "ns_per_iter");
 
-    write_artifact(&rows);
-}
-
-fn write_artifact(rows: &[Row]) {
-    use serde::json::Value;
-
-    struct Artifact<'a>(&'a [Row]);
-    impl serde::Serialize for Artifact<'_> {
-        fn to_json_value(&self) -> Value {
-            let rows = self
-                .0
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("name".into(), Value::String(r.name.into())),
-                        ("value".into(), Value::F64(r.value)),
-                        ("unit".into(), Value::String(r.unit.into())),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("bench".into(), Value::String("obs".into())),
-                ("results".into(), Value::Array(rows)),
-            ])
-        }
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let body = serde_json::to_string_pretty(&Artifact(rows)).expect("serialize");
-    std::fs::write(path, body + "\n").expect("write BENCH_obs.json");
-    println!("bench obs: artifact written to BENCH_obs.json");
+    bench.finish();
 }

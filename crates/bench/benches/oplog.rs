@@ -15,12 +15,12 @@
 //! - `replay`: throughput of `replay_ops` over a long captured log (the
 //!   recovery-time metric: ops re-applied per second).
 //!
-//! Besides the console lines, results land in `BENCH_oplog.json` at the
-//! repo root so runs can be diffed in review. Rows measured before the
-//! DAG's insert stopped depending on history are paired with a `*_before`
-//! row (the file as committed at aa00e7a, same 2-vCPU box).
+//! Rows land in `target/bench/BENCH_oplog.json` (see `grout_bench::micro`),
+//! all in ns per iteration. Rows measured before the DAG's insert stopped
+//! depending on history are paired with a `*_before` row (the file as
+//! committed at aa00e7a, same 2-vCPU box).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use grout::core::{
     replay_ops, Ce, CeArg, CeId, CeKind, KernelCost, LinkMatrix, LoggedPlanner, Planner,
@@ -28,6 +28,7 @@ use grout::core::{
 };
 use grout::net::oplog::JournalSink;
 use grout::net::wire;
+use grout_bench::micro::{time, Bench};
 
 const MIB: u64 = 1 << 20;
 
@@ -62,46 +63,16 @@ const BEFORE: &[(&str, f64)] = &[
     ("replay_2k_ces", 327_900_172.9),
 ];
 
-struct BenchResult {
-    name: &'static str,
-    mean_ns: f64,
-}
-
-/// Fixed warm-up, then a bounded measurement loop; mirrors the criterion
-/// shim's loop but keeps the mean so it can be serialized.
-fn time(name: &'static str, budget: Duration, mut routine: impl FnMut()) -> BenchResult {
-    for _ in 0..3 {
-        routine();
-    }
-    let start = Instant::now();
-    let mut iters = 0u64;
-    loop {
-        routine();
-        iters += 1;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    let mean_ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    println!("bench oplog/{name}: {mean_ns:.1} ns/iter ({iters} iters)");
-    BenchResult { name, mean_ns }
-}
-
 /// One planning step (plan + complete) on a planner built once for the
-/// row and preloaded with `preload` CEs of the same stream.
-fn bench_plan(
-    name: &'static str,
-    budget: Duration,
-    logged: bool,
-    journal: bool,
-    preload: u64,
-) -> BenchResult {
+/// row and preloaded with `preload` CEs of the same stream; returns ns
+/// per step.
+fn bench_plan(name: &str, budget: Duration, logged: bool, journal: bool, preload: u64) -> f64 {
     let journal_path = std::env::temp_dir().join(format!(
         "grout-bench-oplog-{}-{name}.grjl",
         std::process::id()
     ));
     let mut n = 0u64;
-    let result = if logged {
+    let ns = if logged {
         let mut p = LoggedPlanner::new(Planner::new(cfg(4), None));
         if journal {
             let sink = JournalSink::create(&journal_path, p.config(), &None).expect("journal");
@@ -116,7 +87,7 @@ fn bench_plan(
             p.mark_completed(plan.dag_index);
         };
         (0..preload).for_each(|_| step());
-        time(name, budget, step)
+        time(budget, step)
     } else {
         let mut bare = Planner::new(cfg(4), None);
         let mut alloc = || match bare.apply(&PlannerOp::Alloc { bytes: MIB }).expect("alloc") {
@@ -137,10 +108,10 @@ fn bench_plan(
             .expect("complete");
         };
         (0..preload).for_each(|_| step());
-        time(name, budget, step)
+        time(budget, step)
     };
     std::fs::remove_file(&journal_path).ok();
-    result
+    ns
 }
 
 /// A planner carrying `ces` planned+completed kernels (digest workload).
@@ -157,74 +128,53 @@ fn loaded_planner(ces: u64) -> LoggedPlanner {
 
 fn main() {
     let budget = Duration::from_millis(400);
-    let mut results = vec![
-        bench_plan("plan_bare", budget, false, false, 0),
-        bench_plan("plan_bare_at_64k", budget, false, false, 64_000),
-        bench_plan("plan_logged", budget, true, false, 0),
-        bench_plan("plan_journalled", budget, true, true, 0),
-    ];
+    let mut bench = Bench::new("oplog", BEFORE);
+    let mut row = |name: &str, ns: f64| bench.row(name, ns, "ns_per_iter");
+    for (name, logged, journal, preload) in [
+        ("plan_bare", false, false, 0),
+        ("plan_bare_at_64k", false, false, 64_000),
+        ("plan_logged", true, false, 0),
+        ("plan_journalled", true, true, 0),
+    ] {
+        row(name, bench_plan(name, budget, logged, journal, preload));
+    }
 
     let loaded = loaded_planner(2000);
-    results.push(time("digest_2k_ces", budget, || {
-        std::hint::black_box(loaded.state_digest());
-    }));
+    row(
+        "digest_2k_ces",
+        time(budget, || {
+            std::hint::black_box(loaded.state_digest());
+        }),
+    );
 
     let op = PlannerOp::PlanCe {
         ce: kernel_ce(7, grout::ArrayId(1), grout::ArrayId(2)),
     };
-    results.push(time("encode_op", budget, || {
-        std::hint::black_box(wire::encode_op(&op));
-    }));
+    row(
+        "encode_op",
+        time(budget, || {
+            std::hint::black_box(wire::encode_op(&op));
+        }),
+    );
     let bytes = wire::encode_op(&op);
-    results.push(time("decode_op", budget, || {
-        std::hint::black_box(wire::decode_op(&bytes).expect("decode"));
-    }));
+    row(
+        "decode_op",
+        time(budget, || {
+            std::hint::black_box(wire::decode_op(&bytes).expect("decode"));
+        }),
+    );
 
     let log = loaded_planner(2000);
-    let replay_res = time("replay_2k_ces", Duration::from_secs(2), || {
+    let replay_ns = time(Duration::from_secs(2), || {
         let mut replica = Planner::new(cfg(4), Some(LinkMatrix::uniform(5, 10e9)));
         let _ = replay_ops(&mut replica, log.ops());
         std::hint::black_box(replica.state_digest());
     });
-    let ops_per_replay = log.ops().len() as f64;
     println!(
         "bench oplog/replay throughput: {:.0} ops/s",
-        ops_per_replay / (replay_res.mean_ns / 1e9)
+        log.ops().len() as f64 / (replay_ns / 1e9)
     );
-    results.push(replay_res);
+    row("replay_2k_ces", replay_ns);
 
-    write_artifact(&results);
-}
-
-fn write_artifact(results: &[BenchResult]) {
-    use serde::json::Value;
-
-    let row = |name: String, value: f64| {
-        Value::Object(vec![
-            ("name".into(), Value::String(name)),
-            ("value".into(), Value::F64(value)),
-            ("unit".into(), Value::String("ns_per_iter".into())),
-        ])
-    };
-    let mut out = Vec::new();
-    for r in results {
-        out.push(row(r.name.into(), r.mean_ns));
-        if let Some((_, before)) = BEFORE.iter().find(|(name, _)| *name == r.name) {
-            out.push(row(format!("{}_before", r.name), *before));
-        }
-    }
-    struct Artifact(Vec<Value>);
-    impl serde::Serialize for Artifact {
-        fn to_json_value(&self) -> Value {
-            Value::Object(vec![
-                ("bench".into(), Value::String("oplog".into())),
-                ("results".into(), Value::Array(self.0.clone())),
-            ])
-        }
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oplog.json");
-    let body = serde_json::to_string_pretty(&Artifact(out)).expect("serialize");
-    std::fs::write(path, body + "\n").expect("write BENCH_oplog.json");
-    println!("bench oplog: artifact written to BENCH_oplog.json");
+    bench.finish();
 }

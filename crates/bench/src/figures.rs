@@ -1,8 +1,8 @@
 //! Figure generators: one function per data-bearing figure of the paper.
 //!
-//! Each returns structured data that the `repro_*` binaries print, the
-//! criterion benches time, and EXPERIMENTS.md records. Figures 2-5 of the
-//! paper are architecture diagrams with no data and have no generator.
+//! Each returns structured data that the `repro_*` binaries print and
+//! EXPERIMENTS.md records. Figures 2-5 of the paper are architecture
+//! diagrams with no data and have no generator.
 
 use grout::core::{ExplorationLevel, PolicyKind, SimConfig};
 use grout::workloads::{
@@ -233,18 +233,9 @@ pub struct Fig9Point {
 }
 
 /// Builds the synthetic Controller state for a Figure 9 measurement:
-/// `nodes` workers, arrays spread across them, and a CE reading eight.
-pub fn fig9_state(
-    nodes: usize,
-) -> (
-    grout::core::NodeScheduler,
-    grout::core::Coherence,
-    grout::core::Ce,
-) {
-    use grout::core::{
-        ArrayId, Ce, CeArg, CeId, CeKind, Coherence, KernelCost, LinkMatrix, Location,
-        NodeScheduler,
-    };
+/// arrays spread across `nodes` workers, and a CE reading eight.
+fn fig9_state(nodes: usize) -> (grout::core::Coherence, grout::core::Ce) {
+    use grout::core::{ArrayId, Ce, CeArg, CeId, CeKind, Coherence, KernelCost, Location};
     let mut coherence = Coherence::new();
     let arrays = 64usize;
     for a in 0..arrays {
@@ -262,13 +253,7 @@ pub fn fig9_state(
             .map(|i| CeArg::read(ArrayId(i as u64), 1 << 30))
             .collect(),
     };
-    let links = LinkMatrix::uniform(nodes + 1, 500e6);
-    let sched = NodeScheduler::new(
-        PolicyKind::MinTransferTime(ExplorationLevel::Medium),
-        nodes,
-        Some(links),
-    );
-    (sched, coherence, ce)
+    (coherence, ce)
 }
 
 /// Figure 9: controller scheduling overhead per CE for 2..256 nodes, per
@@ -311,7 +296,7 @@ pub fn fig9() -> Vec<Fig9Point> {
     ];
     for (name, make) in &policies {
         for &n in &node_counts {
-            let (_, coherence, ce) = fig9_state(n);
+            let (coherence, ce) = fig9_state(n);
             let mut sched = make(n);
             // Warm up.
             for _ in 0..1000 {

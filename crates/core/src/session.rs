@@ -486,8 +486,8 @@ impl AdmissionController {
 // The shared placement view and batching counters.
 
 /// CE-batching counters: how many logical messages travelled in how many
-/// wire frames. `frames / messages` is the frames-per-CE ratio the
-/// `BENCH_ctld.json` before/after numbers compare.
+/// wire frames. `frames / messages` is the frames-per-CE ratio of the
+/// `frames_per_ce_*` rows in `BENCH_ctld.json`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     /// Scheduler ticks that flushed at least one frame.

@@ -3,6 +3,9 @@
 //! - Two concurrent sessions on one shared in-process fleet produce
 //!   results bit-identical to solo runs, with zero cross-session
 //!   quarantines — the isolation guarantee the session layer makes.
+//! - With CE batching on, eight concurrent sessions get a tick's messages
+//!   for one worker coalesced into `Batch` frames (fewer frames than
+//!   messages), still bit-identical to solo runs.
 //! - The fair-share scheduler starves no session: every ready frontier
 //!   drains within its `ceil(n / weight)` bound regardless of co-tenants
 //!   (property-based).
@@ -16,7 +19,7 @@ use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use grout::core::{ChannelTransport, FairShare, FleetMux, LocalRuntime, Runtime, SessionId};
@@ -144,6 +147,52 @@ fn two_sessions_bit_identical_to_solo_runs() {
     let stats = fleet.batch_stats();
     assert!(stats.messages > 0, "no traffic crossed the mux");
     fleet.shutdown();
+}
+
+/// Batching actually coalesces: eight sessions released together on a
+/// batching fleet queue several messages for one worker within a tick, so
+/// the fleet sends some as one `Batch` frame — and every session still
+/// gets the solo run's bits.
+#[test]
+fn batching_fleet_coalesces_frames_and_stays_bit_identical() {
+    const SESSIONS: usize = 8;
+    let mut solo = Runtime::builder()
+        .workers(2)
+        .build_local()
+        .expect("solo runtime");
+    let (solo_bits, _) = run_workload(&mut solo);
+
+    let mut fleet = FleetMux::with_batching(Box::new(ChannelTransport::new(2)), true);
+    let start = Arc::new(Barrier::new(SESSIONS));
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|_| {
+            let session = fleet.session(2);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut rt = Runtime::builder()
+                    .workers(2)
+                    .build_with_transport(Box::new(session))
+                    .expect("session runtime");
+                start.wait();
+                run_workload(&mut rt)
+            })
+        })
+        .collect();
+    for h in handles {
+        let (bits, quarantines) = h.join().expect("session thread");
+        assert_eq!(bits, solo_bits, "a batched session diverged from solo");
+        assert_eq!(quarantines, 0, "batching caused a quarantine");
+    }
+    let stats = fleet.batch_stats();
+    fleet.shutdown();
+    assert!(
+        stats.batched_frames >= 1,
+        "no tick formed a batch: {stats:?}"
+    );
+    assert!(
+        stats.frames < stats.messages,
+        "batching saved no frames: {stats:?}"
+    );
 }
 
 proptest! {
