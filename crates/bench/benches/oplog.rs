@@ -7,9 +7,11 @@
 //! - `plan_bare_at_64k`: the `plan_bare` step on a planner that already
 //!   holds 64k CEs (a planning step must not cost more late in a run);
 //! - `plan_journalled`: the same op with a flush-per-op `JournalSink`
-//!   attached (the crash-recovery write amplification);
-//! - `digest`: one `state_digest()` over a planner carrying a large DAG
-//!   (the standby ack cross-check cost, paid per shipped op);
+//!   attached (the crash-recovery write amplification: one frame encoded
+//!   and one `write(2)` into the page cache per op, no fsync);
+//! - `digest`: one structural `state_digest()` over a planner carrying a
+//!   large DAG. It runs once per closed log (the journal footer) and in
+//!   tests and tools; per-op acks use the O(1) `op_digest()` instead;
 //! - `encode_op`/`decode_op`: the wire codec round-trip for the common
 //!   op shapes;
 //! - `replay`: throughput of `replay_ops` over a long captured log (the

@@ -103,6 +103,10 @@ pub struct Planner {
     /// Membership epoch: bumps on every membership change (first-time
     /// quarantine, rejoin) so replicas agree on the cluster view. Monotone.
     epoch: u64,
+    /// Rolling digest of every applied op and its outcome
+    /// ([`Planner::op_digest`]). History, not state: outside
+    /// `state_digest` and `==`.
+    op_digest: u64,
     /// Timestamp-free event sink (the planner has no clock of its own).
     telemetry: Telemetry,
 }
@@ -155,6 +159,7 @@ impl Planner {
             ces: Vec::new(),
             assignments: Vec::new(),
             epoch: 0,
+            op_digest: oplog::OP_DIGEST_SEED,
             telemetry: Telemetry::off(),
         }
     }
@@ -195,8 +200,10 @@ impl Planner {
     /// state. A `PlanCe` that fails ([`PlanError::UseAfterFree`]) is
     /// rejected before anything is touched, so DAG indices stay aligned
     /// with [`Planner::planned_ce`] / [`Planner::assignment`].
+    ///
+    /// Every op, failed or not, is folded into [`Planner::op_digest`].
     pub fn apply(&mut self, op: &PlannerOp) -> Result<PlannerResp, PlanError> {
-        match op {
+        let outcome = match op {
             PlannerOp::Alloc { bytes } => Ok(PlannerResp::Array(self.alloc(*bytes))),
             PlannerOp::Free { array } => {
                 self.free(*array);
@@ -234,14 +241,30 @@ impl Planner {
                 Ok(PlannerResp::Unit)
             }
             PlannerOp::Leave { worker } => self.leave(*worker).map(|()| PlannerResp::Unit),
-        }
+        };
+        self.op_digest = oplog::fold_op(self.op_digest, op, &outcome);
+        outcome
+    }
+
+    /// The rolling op digest: `d' = fold(d, op, outcome)` over every op
+    /// applied so far, starting from a fixed seed. O(1) to read and O(op)
+    /// to keep. Two replicas agree on it exactly when they took the same
+    /// decision (plan, recovery, array id or error) at every op, so the
+    /// standby acks every shipped op with it and the primary cross-checks
+    /// it against its own. The construction config and link matrix are not
+    /// inputs, only the decisions they steer: a channel and a TCP run of
+    /// one stream agree on it unless the probed links pick a different
+    /// transfer source.
+    pub fn op_digest(&self) -> u64 {
+        self.op_digest
     }
 
     /// FNV-1a digest over a canonical dump of the replicated state (maps
-    /// iterated in sorted order, floats as exact bits; telemetry
-    /// excluded). Equal digests across processes mean bit-identical
-    /// planner state — the standby acks every shipped op with its replica
-    /// digest and the primary cross-checks it against this.
+    /// iterated in sorted order, floats as exact bits; telemetry and
+    /// [`Planner::op_digest`] excluded). Equal digests across processes
+    /// mean bit-identical planner state. It walks every CE ever planned,
+    /// so it runs once when a log closes (the journal footer) and in
+    /// tests and tools, never per op.
     pub fn state_digest(&self) -> u64 {
         let mut s = String::with_capacity(4096);
         use std::fmt::Write as _;
@@ -706,7 +729,8 @@ impl Planner {
 }
 
 /// Replicated-state equality: every field except the telemetry handle
-/// (recorders are process-local observers, not replicated state). Two
+/// (recorders are process-local observers, not replicated state) and the
+/// op digest (history: a failed op moves it and nothing else). Two
 /// planners constructed identically and fed the same op sequence compare
 /// equal — the property the op-log determinism tests assert.
 impl PartialEq for Planner {
@@ -1317,6 +1341,56 @@ mod tests {
     }
 
     #[test]
+    fn op_digest_chains_decisions_not_construction() {
+        // Different link matrices, same decisions: the op digests agree
+        // where the state digests cannot.
+        let mut a = planner(2);
+        let mut b = LoggedPlanner::new(Planner::new(
+            PlannerConfig::new(2, PolicyKind::RoundRobin),
+            Some(LinkMatrix::uniform(3, 1e9)),
+        ));
+        assert_eq!(a.op_digest(), b.op_digest());
+        for p in [&mut a, &mut b] {
+            let x = p.alloc(16);
+            p.plan_ce(&kernel(0, vec![CeArg::read(x, 16)])).unwrap();
+        }
+        assert_eq!(a.op_digest(), b.op_digest());
+        assert_ne!(a.state_digest(), b.state_digest(), "links are state");
+
+        // A failed op changes nothing but the history.
+        let before = (a.op_digest(), (*a).clone());
+        a.free(ArrayId(0));
+        let freed = (a.op_digest(), (*a).clone());
+        assert_ne!(before.0, freed.0);
+        assert!(a
+            .plan_ce(&kernel(1, vec![CeArg::read(ArrayId(0), 16)]))
+            .is_err());
+        assert_eq!(*a, freed.1, "failed plan mutates nothing");
+        assert_ne!(a.op_digest(), freed.0, "but is folded in");
+
+        // The same op with a different outcome moves the digest: three
+        // workers place the second CE where two workers do not.
+        let run = |workers| {
+            let mut p = planner(workers);
+            let x = p.alloc(16);
+            let mut digests = vec![p.op_digest()];
+            for i in 0..3 {
+                p.plan_ce(&kernel(i, vec![CeArg::read(x, 16)])).unwrap();
+                digests.push(p.op_digest());
+            }
+            digests
+        };
+        let (two, three) = (run(2), run(3));
+        assert_eq!(two[..3], three[..3], "CEs 0 and 1 land alike");
+        assert_ne!(two[3], three[3], "CE 2 lands on worker 0 vs 2");
+
+        // A re-probe is an input even though it yields no decision.
+        let digest = b.op_digest();
+        b.reprobe_links(LinkMatrix::uniform(3, 2e9));
+        assert_ne!(b.op_digest(), digest);
+    }
+
+    #[test]
     fn first_divergence_localizes() {
         let a = [
             PlannerOp::Alloc { bytes: 8 },
@@ -1338,9 +1412,6 @@ mod tests {
         #[derive(Default)]
         struct Tap(Seen);
         impl OpSink for Tap {
-            fn wants_digest(&self) -> bool {
-                true
-            }
             fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>) {
                 self.0
                     .lock()

@@ -22,14 +22,22 @@
 //! success, so it returns the same error and leaves the same state. A
 //! failing `PlanCe` ([`PlanError::UseAfterFree`]) leaves it untouched — the
 //! CE is rejected before it takes a DAG index.
+//!
+//! Replicas are compared by two digests. [`Planner::op_digest`] is a
+//! rolling hash over every applied op and its outcome (`fold_op`): O(op)
+//! to keep, so every sink gets it with every op and a standby acks each
+//! op with it. [`Planner::state_digest`] dumps the whole structure: it
+//! runs once when the log closes ([`OpSink::close`]), for the journal
+//! footer, and wherever a test or tool compares structure.
 
 use std::fmt;
 
-use crate::ce::{ArrayId, Ce};
+use crate::ce::{ArrayId, Ce, CeKind};
 use crate::dag::DagIndex;
 use crate::policy::LinkMatrix;
-use crate::scheduler::{Plan, PlanError, Planner, Recovery};
+use crate::scheduler::{Movement, MovementKind, Plan, PlanError, Planner, Recovery};
 use crate::telemetry::Telemetry;
+use uvm_sim::{AccessMode, AccessPattern, MemAdvise};
 
 /// One serializable mutation of [`Planner`] state. The op records the
 /// *input* of the mutation, never derived results: applying it re-derives
@@ -153,27 +161,29 @@ pub enum PlannerResp {
 /// A destination for appended ops: the disk journal, the standby
 /// log-shipping socket, or anything else that tails the log.
 ///
-/// `digest` is the planner state digest *after* the op was applied; it is
-/// only computed (it walks the full state) when [`OpSink::wants_digest`]
-/// returns true for some registered sink, and is `None` for ops replayed
-/// during sink catch-up (their historical digests are gone).
+/// `digest` is [`Planner::op_digest`] *after* the op was applied: O(1) to
+/// hand out, and equal on two replicas exactly when both took the same
+/// decision at every op so far. It is `None` for ops replayed during sink
+/// catch-up (their historical digests are gone).
 pub trait OpSink: Send {
-    /// Whether this sink needs the post-apply state digest per op.
-    fn wants_digest(&self) -> bool {
-        false
-    }
-
     /// One appended op. `seq` is its position in the log.
     fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>);
+
+    /// The log is closing (its [`LoggedPlanner`] is dropped) and `planner`
+    /// is the final state. The one place a sink may pay for
+    /// [`Planner::state_digest`]: the journal's footer is written here.
+    fn close(&mut self, _planner: &Planner) {}
 }
 
 /// The single ordered operation log in front of a [`Planner`].
 ///
 /// Every mutation goes through [`LoggedPlanner::append`] (or the typed
 /// wrappers mirroring the old mutator names): the op is recorded first
-/// (write-ahead, so failing ops are journaled too), fanned out to the
-/// registered sinks, then applied. Read-only queries pass through via
-/// `Deref`.
+/// (write-ahead, so failing ops are journaled too), applied, then fanned
+/// out to the registered sinks with the planner's [`Planner::op_digest`]
+/// after it — O(1) per sink, whatever the session length. Dropping the
+/// `LoggedPlanner` closes the log: every sink's [`OpSink::close`] sees the
+/// final state. Read-only queries pass through via `Deref`.
 pub struct LoggedPlanner {
     planner: Planner,
     ops: Vec<PlannerOp>,
@@ -195,7 +205,7 @@ impl LoggedPlanner {
         }
     }
 
-    /// Appends `op` to the log, fans it out to the sinks and applies it.
+    /// Appends `op` to the log, applies it and fans it out to the sinks.
     pub fn append(&mut self, op: PlannerOp) -> Result<PlannerResp, PlanError> {
         let seq = self.ops.len() as u64;
         if let Some(want) = self.expected.get(seq as usize) {
@@ -207,15 +217,9 @@ impl LoggedPlanner {
         self.ops.push(op);
         let op = self.ops.last().expect("just pushed");
         let resp = self.planner.apply(op);
-        if !self.sinks.is_empty() {
-            let digest = self
-                .sinks
-                .iter()
-                .any(|s| s.wants_digest())
-                .then(|| self.planner.state_digest());
-            for sink in &mut self.sinks {
-                sink.append(seq, op, digest);
-            }
+        let digest = self.planner.op_digest();
+        for sink in &mut self.sinks {
+            sink.append(seq, op, Some(digest));
         }
         resp
     }
@@ -332,6 +336,15 @@ impl std::ops::Deref for LoggedPlanner {
     }
 }
 
+/// Closing the log hands every sink the final state ([`OpSink::close`]).
+impl Drop for LoggedPlanner {
+    fn drop(&mut self) {
+        for sink in &mut self.sinks {
+            sink.close(&self.planner);
+        }
+    }
+}
+
 impl fmt::Debug for LoggedPlanner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LoggedPlanner")
@@ -361,4 +374,236 @@ pub fn first_divergence(a: &[PlannerOp], b: &[PlannerOp]) -> Option<usize> {
     (0..shared)
         .find(|&i| a[i] != b[i])
         .or((a.len() != b.len()).then_some(shared))
+}
+
+/// [`Planner::op_digest`] before the first op (the FNV-1a offset basis).
+pub(crate) const OP_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One step of the rolling op digest: `d` with `op` and its outcome folded
+/// in. The inputs are the canonical fields of the op and of its
+/// [`PlannerResp`] or error kind, one word each (floats as bits, strings
+/// as length-prefixed 8-byte words, sequences length-prefixed; an
+/// argument's three small enums share one word, as do the outcome's
+/// `Ok`/`Err` and variant tags). The planner's construction config and
+/// link matrix are not inputs; a [`PlannerOp::ReprobeLinks`] is. Costs
+/// O(op + outcome) and allocates nothing, so a fold costs the same at op
+/// 10 as at op 10⁶.
+pub(crate) fn fold_op(d: u64, op: &PlannerOp, outcome: &Result<PlannerResp, PlanError>) -> u64 {
+    let mut m = Mix(d, 0x9e37_79b9_7f4a_7c15);
+    m.op(op);
+    match outcome {
+        Ok(resp) => m.resp(resp),
+        Err(e) => m.error(e),
+    }
+    m.0.rotate_left(32) ^ m.1
+}
+
+/// The running value of [`fold_op`]: two lanes that take alternate words,
+/// so consecutive multiplies do not wait on each other. `d` enters the
+/// first lane, the second starts from a constant.
+struct Mix(u64, u64);
+
+impl Mix {
+    /// FxHash's step on the lane whose turn it is. For a fixed word it is
+    /// a bijection of that lane, and the closing `rotate ^` is a bijection
+    /// of each lane given the other, so two streams of the same shape that
+    /// differ in exactly one word (or in the incoming `d`) end apart.
+    fn word(&mut self, w: u64) {
+        let next = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = self.1;
+        self.1 = next;
+    }
+
+    fn usize(&mut self, w: usize) {
+        self.word(w as u64);
+    }
+
+    fn len<T>(&mut self, items: &[T]) {
+        self.usize(items.len());
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.len(b);
+        for chunk in b.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn op(&mut self, op: &PlannerOp) {
+        match op {
+            PlannerOp::Alloc { bytes } => {
+                self.word(0);
+                self.word(*bytes);
+            }
+            PlannerOp::Free { array } => {
+                self.word(1);
+                self.word(array.0);
+            }
+            PlannerOp::PlanCe { ce } => {
+                self.word(2);
+                self.ce(ce);
+            }
+            PlannerOp::MarkCompleted { dag_index } => {
+                self.word(3);
+                self.usize(*dag_index);
+            }
+            PlannerOp::Quarantine { worker } => {
+                self.word(4);
+                self.usize(*worker);
+            }
+            PlannerOp::Recover { dead, incomplete } => {
+                self.word(5);
+                self.usize(*dead);
+                self.len(incomplete);
+                incomplete.iter().for_each(|&i| self.usize(i));
+            }
+            PlannerOp::ReprobeLinks { links } => {
+                self.word(6);
+                let n = links.endpoints();
+                self.usize(n);
+                for src in 0..n {
+                    for dst in 0..n {
+                        self.word(links.raw(src, dst).to_bits());
+                    }
+                }
+            }
+            PlannerOp::Suspect { worker } => {
+                self.word(7);
+                self.usize(*worker);
+            }
+            PlannerOp::Reinstate { worker } => {
+                self.word(8);
+                self.usize(*worker);
+            }
+            PlannerOp::Rejoin { worker } => {
+                self.word(9);
+                self.usize(*worker);
+            }
+            PlannerOp::Join { worker } => {
+                self.word(10);
+                self.usize(*worker);
+            }
+            PlannerOp::Leave { worker } => {
+                self.word(11);
+                self.usize(*worker);
+            }
+        }
+    }
+
+    fn ce(&mut self, ce: &Ce) {
+        self.word(ce.id.0);
+        match &ce.kind {
+            CeKind::Kernel { name, cost } => {
+                self.word(0);
+                self.bytes(name.as_bytes());
+                self.word(cost.flops.to_bits());
+                self.word(cost.bytes_read);
+                self.word(cost.bytes_written);
+            }
+            CeKind::HostRead => self.word(1),
+            CeKind::HostWrite => self.word(2),
+        }
+        self.len(&ce.args);
+        for a in &ce.args {
+            self.word(a.array.0);
+            self.word(a.bytes);
+            self.word(a.alloc_bytes);
+            let mode = match a.mode {
+                AccessMode::Read => 0,
+                AccessMode::Write => 1,
+                AccessMode::ReadWrite => 2,
+            };
+            let (pattern, x) = match a.pattern {
+                AccessPattern::Streamed { sweeps } => (0, sweeps),
+                AccessPattern::Gather { touches_per_page } => (1, touches_per_page),
+                AccessPattern::Strided { touches_per_page } => (2, touches_per_page),
+            };
+            let advise = match a.advise {
+                MemAdvise::None => 0,
+                MemAdvise::ReadMostly => 1,
+                MemAdvise::PreferredHost => 2,
+            };
+            self.word(mode | pattern << 8 | advise << 16);
+            self.word(x.to_bits());
+        }
+    }
+
+    fn resp(&mut self, resp: &PlannerResp) {
+        match resp {
+            PlannerResp::Array(id) => {
+                self.word(0);
+                self.word(id.0);
+            }
+            PlannerResp::Plan(plan) => {
+                self.word(1);
+                self.plan(plan);
+            }
+            PlannerResp::Recovery(rec) => {
+                self.word(2);
+                self.usize(rec.dead);
+                self.usize(rec.healthy);
+                for arrays in [&rec.affected, &rec.lost] {
+                    self.len(arrays);
+                    arrays.iter().for_each(|a| self.word(a.0));
+                }
+                self.len(&rec.reassigned);
+                for r in &rec.reassigned {
+                    self.usize(r.dag_index);
+                    self.usize(r.to.0);
+                    self.movements(&r.movements);
+                }
+            }
+            PlannerResp::Unit => self.word(3),
+        }
+    }
+
+    fn plan(&mut self, plan: &Plan) {
+        self.usize(plan.dag_index);
+        self.len(&plan.deps);
+        plan.deps.iter().for_each(|&d| self.usize(d));
+        self.usize(plan.assigned_node.0);
+        self.movements(&plan.movements);
+        match &plan.placement {
+            None => self.word(0),
+            Some(p) => {
+                self.word(1);
+                self.usize(p.device.0);
+                self.usize(p.stream.0);
+                self.word(p.reused_parent_stream as u64);
+            }
+        }
+    }
+
+    fn movements(&mut self, movements: &[Movement]) {
+        self.len(movements);
+        for m in movements {
+            self.word(m.array.0);
+            self.usize(m.from.0);
+            self.usize(m.to.0);
+            self.word(m.bytes);
+            self.word(match m.kind {
+                MovementKind::ControllerSend => 0,
+                MovementKind::P2p => 1,
+                MovementKind::Staged => 2,
+            });
+        }
+    }
+
+    /// Tags 4–6: after [`Mix::resp`]'s, so an error never folds like a
+    /// response.
+    fn error(&mut self, e: &PlanError) {
+        match e {
+            PlanError::UseAfterFree(a) => {
+                self.word(4);
+                self.word(a.0);
+            }
+            PlanError::NoHealthyWorkers => self.word(5),
+            PlanError::InvalidConfig(why) => {
+                self.word(6);
+                self.bytes(why.as_bytes());
+            }
+        }
+    }
 }

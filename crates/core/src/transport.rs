@@ -359,13 +359,14 @@ pub enum WorkerMsg {
         spans: Vec<WorkerSpan>,
     },
     /// Standby controller → primary: acknowledges one shipped op
-    /// ([`CtrlMsg::ShipOp`]) with the digest of the replica state after
+    /// ([`CtrlMsg::ShipOp`]) with the replica's rolling op digest after
     /// applying it. The primary cross-checks the digest against its own,
-    /// so divergence is caught at the offending op, not at takeover.
+    /// so divergence is caught at the first op the replica decided
+    /// differently, not at takeover.
     ShipAck {
         /// The acknowledged op's log position.
         seq: u64,
-        /// [`crate::Planner::state_digest`] of the replica after the op.
+        /// [`crate::Planner::op_digest`] of the replica after the op.
         digest: u64,
     },
     /// Clean departure announcement (graceful worker shutdown, e.g.

@@ -209,6 +209,7 @@ proptest! {
         let _ = replay_ops(&mut replica, live.ops());
 
         prop_assert_eq!(replica.state_digest(), live.state_digest(), "digest diverged");
+        prop_assert_eq!(replica.op_digest(), live.op_digest(), "op digest diverged");
         prop_assert_eq!(&replica, &*live, "structural state diverged");
     }
 
@@ -234,6 +235,8 @@ proptest! {
 
         prop_assert_eq!(&split_replica, &whole_replica);
         prop_assert_eq!(split_replica.state_digest(), live.state_digest());
+        prop_assert_eq!(split_replica.op_digest(), whole_replica.op_digest());
+        prop_assert_eq!(split_replica.op_digest(), live.op_digest());
     }
 }
 

@@ -218,7 +218,7 @@ struct SessionEntry {
     phase: Phase,
     /// Planner op-log length (via a registry [`OpSink`]).
     ops: u64,
-    /// Latest post-apply planner-state digest.
+    /// Latest post-apply [`Planner::op_digest`](grout::core::Planner::op_digest).
     digest: Option<u64>,
     /// The session runtime's final metrics snapshot (populated at
     /// completion; live fleet signals come from the placement view).
@@ -256,7 +256,7 @@ impl SessionRegistry {
     }
 }
 
-/// Counts planner ops (and keeps the latest state digest) for one
+/// Counts planner ops (and keeps the latest op digest) for one
 /// session — the `/sessions` op-log length without touching the journal.
 struct RegistryOpSink {
     registry: Arc<SessionRegistry>,
@@ -264,10 +264,6 @@ struct RegistryOpSink {
 }
 
 impl OpSink for RegistryOpSink {
-    fn wants_digest(&self) -> bool {
-        true
-    }
-
     fn append(&mut self, seq: u64, _op: &PlannerOp, digest: Option<u64>) {
         self.registry.update(self.ticket, |e| {
             e.ops = seq + 1;

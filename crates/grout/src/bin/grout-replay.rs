@@ -14,7 +14,11 @@
 //!
 //! `--stop-at N` replays only the first N ops of each session
 //! (record/replay debugging: bisect for the op that corrupted state);
-//! `--verbose` prints one line per op with the digest after applying it.
+//! `--verbose` prints one line per op with the rolling op digest after
+//! applying it (`Planner::op_digest`, O(1) per op). The op digest covers
+//! each op's decision, not the construction config or link matrix, so
+//! diffing two journals' verbose output line by line finds the first op
+//! the two runs decided differently.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -155,7 +159,7 @@ fn replay_verbose(journal: &Journal, end: usize) -> Planner {
         println!(
             "op {i:>6}  {:<14} {outcome:<4} digest {:016x}",
             op.kind(),
-            p.state_digest()
+            p.op_digest()
         );
     }
     p

@@ -11,8 +11,8 @@
 //! - [`ShipSink`] tails the log over TCP to a hot-standby controller
 //!   (`grout-run --ship-log`), whose [`standby_serve`] loop applies each
 //!   op to a replica [`Planner`] and acknowledges it with the replica's
-//!   state digest — so the primary detects divergence at the offending
-//!   op, not at takeover.
+//!   [`Planner::op_digest`] — so the primary detects divergence at the
+//!   first op where the replica decided differently, not at takeover.
 //!
 //! ## Journal file format
 //!
@@ -29,7 +29,8 @@
 //! probed matrices are run-specific, so replay must not re-probe. Each op
 //! is one tag-`0x01` frame ([`wire::encode_op`]); its seq is its position
 //! among the session's ops. A tag-`0x02` footer (`last_seq`, `digest`) is
-//! written when the session ends cleanly; a crashed process leaves no
+//! written when the session ends cleanly, `digest` being the structural
+//! [`Planner::state_digest`] of the final state; a crashed process leaves no
 //! footer (and possibly a truncated tail frame), and replay still
 //! reconstructs every op that hit the disk.
 
@@ -69,7 +70,8 @@ const TAG_FOOTER: u8 = 0x02;
 pub struct JournalFooter {
     /// Log position of the session's last op (0-based).
     pub last_seq: u64,
-    /// [`Planner::state_digest`] after the last op.
+    /// [`Planner::state_digest`] after the last op (structural, not the
+    /// rolling [`Planner::op_digest`]).
     pub digest: u64,
 }
 
@@ -239,13 +241,13 @@ impl JournalWriter {
         JournalSink {
             file: self.clone(),
             sid,
-            last: None,
             last_seq: None,
         }
     }
 
     /// Writes and flushes one frame — the journal is a write-ahead log,
     /// and a crash must not lose acknowledged ops to a userspace buffer.
+    /// The flush is one `write(2)` into the page cache, with no fsync.
     /// The first I/O error is logged once and stops the file.
     fn frame(&self, tag: u8, sid: SessionId, body: &[u8]) {
         // A writer that panicked mid-frame poisons the lock and stops the
@@ -269,14 +271,14 @@ impl JournalWriter {
 /// An [`OpSink`] streaming one session's ops to a journal file as they
 /// are appended, each frame flushed before the planner proceeds.
 ///
-/// The footer is written on drop (clean exit); a killed process leaves a
-/// footer-less session that [`read_journal_sessions`] still accepts.
+/// The footer is written when the log closes ([`OpSink::close`], on a
+/// clean exit) from the final [`Planner::state_digest`]; a killed process
+/// leaves a footer-less session that [`read_journal_sessions`] still
+/// accepts.
 pub struct JournalSink {
     file: JournalWriter,
     sid: SessionId,
-    /// Last live (seq, digest) pair; catch-up ops carry no digest, so the
-    /// footer is only written when the digest matches the final op.
-    last: Option<(u64, u64)>,
+    /// Log position of the last op written.
     last_seq: Option<u64>,
 }
 
@@ -293,30 +295,17 @@ impl JournalSink {
 }
 
 impl OpSink for JournalSink {
-    fn wants_digest(&self) -> bool {
-        true
-    }
-
-    fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>) {
+    fn append(&mut self, seq: u64, op: &PlannerOp, _digest: Option<u64>) {
         self.file.frame(TAG_OP, self.sid, &wire::encode_op(op));
         self.last_seq = Some(seq);
-        if let Some(d) = digest {
-            self.last = Some((seq, d));
-        }
     }
-}
 
-impl Drop for JournalSink {
-    fn drop(&mut self) {
-        // Footer only when the recorded digest belongs to the final op
-        // (true whenever the session ran a live op after attaching).
-        if let (Some((seq, digest)), Some(last_seq)) = (self.last, self.last_seq) {
-            if seq == last_seq {
-                let mut footer = [0u8; 16];
-                footer[..8].copy_from_slice(&seq.to_le_bytes());
-                footer[8..].copy_from_slice(&digest.to_le_bytes());
-                self.file.frame(TAG_FOOTER, self.sid, &footer);
-            }
+    fn close(&mut self, planner: &Planner) {
+        if let Some(seq) = self.last_seq {
+            let mut footer = [0u8; 16];
+            footer[..8].copy_from_slice(&seq.to_le_bytes());
+            footer[8..].copy_from_slice(&planner.state_digest().to_le_bytes());
+            self.file.frame(TAG_FOOTER, self.sid, &footer);
         }
     }
 }
@@ -327,8 +316,9 @@ impl Drop for JournalSink {
 /// fleet behind it — the marker for a log-shipping connection), followed
 /// by [`CtrlMsg::ShipInit`] carrying the planner's construction inputs.
 /// Each append then sends one [`CtrlMsg::ShipOp`] and waits for the
-/// standby's [`WorkerMsg::ShipAck`]; a digest mismatch means the replica
-/// diverged — a replication bug — and panics rather than letting a
+/// standby's [`WorkerMsg::ShipAck`], which carries the replica's
+/// [`Planner::op_digest`]; a mismatch means the replica decided this op
+/// differently — a replication bug — and panics rather than letting a
 /// corrupt standby take over. Socket errors merely disable shipping (the
 /// primary outliving its standby is not an error).
 ///
@@ -383,10 +373,6 @@ impl ShipSink {
 }
 
 impl OpSink for ShipSink {
-    fn wants_digest(&self) -> bool {
-        true
-    }
-
     fn append(&mut self, seq: u64, op: &PlannerOp, digest: Option<u64>) {
         let Some(stream) = self.stream.as_mut() else {
             return;
@@ -475,7 +461,9 @@ pub enum StandbyOutcome {
 
 /// The standby's shipping session: accepts one log-shipping connection on
 /// `listener`, builds the replica from [`CtrlMsg::ShipInit`], applies
-/// each shipped op and acknowledges it with the replica's state digest.
+/// each shipped op and acknowledges it with the replica's
+/// [`Planner::op_digest`] (O(1): the loop does no per-op work that grows
+/// with the session).
 /// Returns when the primary finishes ([`StandbyOutcome::CleanFinish`]) or
 /// dies ([`StandbyOutcome::PrimaryDied`]).
 pub fn standby_serve(listener: &TcpListener) -> Result<StandbyOutcome, WireError> {
@@ -513,7 +501,7 @@ pub fn standby_serve(listener: &TcpListener) -> Result<StandbyOutcome, WireError
                     ops_applied += 1;
                     let ack = wire::encode_worker(&WorkerMsg::ShipAck {
                         seq,
-                        digest: replica.state_digest(),
+                        digest: replica.op_digest(),
                     });
                     if wire::write_frame(&mut stream, &ack).is_err() {
                         return Ok(StandbyOutcome::PrimaryDied {
@@ -855,6 +843,27 @@ mod tests {
             }
             other => panic!("expected clean finish, got {other:?}"),
         }
+    }
+
+    /// A standby built from a different config (three workers, not two)
+    /// takes the same decisions for ops 0–5 of [`drive`]: two allocs, then
+    /// plan + complete of CEs 0 and 1, which round-robin places on workers
+    /// 0 and 1 either way. Op 6 plans CE 2, on worker 0 here and worker 2
+    /// on the replica. The per-op ack catches exactly that op.
+    #[test]
+    #[should_panic(expected = "standby replica diverged at op 6 (plan-ce)")]
+    fn diverging_standby_is_caught_at_its_first_diverging_decision() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || standby_serve(&listener));
+
+        let cfg = PlannerConfig::new(2, PolicyKind::RoundRobin);
+        let mut planner = LoggedPlanner::new(Planner::new(cfg, None));
+        let skewed = PlannerConfig::new(3, PolicyKind::RoundRobin);
+        planner.add_sink(Box::new(
+            ShipSink::connect(&addr, &skewed, &None).expect("connect standby"),
+        ));
+        drive(&mut planner);
     }
 
     #[test]

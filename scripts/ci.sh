@@ -195,6 +195,7 @@ for _ in $(seq 100); do
 done
 timeout 120 ./target/release/grout-run \
   --workers tcp:127.0.0.1:7413,127.0.0.1:7414 \
+  --journal target/ci-failover-primary.grjl \
   --ship-log 127.0.0.1:7431 \
   --die-after-ops 12 \
   target/ci-failover.gs > target/ci-failover-primary.out || true # dies by SIGKILL (137)
@@ -205,7 +206,16 @@ trap - EXIT
 test ! -s target/ci-failover-primary.out # the primary died before it could print
 grep -q "taking over" target/ci-failover-standby.err
 diff target/ci-failover-ref.out target/ci-failover-standby.out
-echo "controller failover OK: standby output bit-identical to the uninterrupted run"
+# The killed primary's footer-less journal and the standby's replica agree
+# on the full structure at the crash point: the per-op acks compared
+# decisions, this compares state once.
+./target/release/grout-replay target/ci-failover-primary.grjl > target/ci-failover-replay.out
+grep -q "no footer (crashed run)" target/ci-failover-replay.out
+FO_REPLAYED=$(sed -n 's/^state digest: \([0-9a-f]*\)$/\1/p' target/ci-failover-replay.out)
+FO_REPLICA=$(sed -n 's/.*(replica digest \([0-9a-f]*\)).*/\1/p' target/ci-failover-standby.err)
+test -n "$FO_REPLAYED"
+test "$FO_REPLAYED" = "$FO_REPLICA"
+echo "controller failover OK: standby output bit-identical to the uninterrupted run; journal replay digest $FO_REPLAYED == standby replica digest"
 
 echo "==> grout-ctld e2e (two concurrent tenant clients, CE batching, bit-identical)"
 cat > target/ci-ctld.gs <<'EOF'

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use grout::core::{LocalRuntime, PolicyKind, Runtime};
+use grout::core::{first_divergence, replay_ops, LocalRuntime, Planner, PolicyKind, Runtime};
 use grout::LocalArg;
 use grout::{TcpExt, WorkerSpec};
 use kernelc::CompiledKernel;
@@ -179,6 +179,23 @@ fn tcp_loopback_matches_in_process_bit_for_bit() {
         local.coherence(),
         dist.coherence(),
         "final coherence directories diverged"
+    );
+    // Both transports fed the planner the same op stream. The decisions
+    // differ where the links steer them: the TCP planner holds probed
+    // links, and `best_source` picks a P2P source by bandwidth, so its op
+    // digest differs from the channel run's. The op digest does not cover
+    // construction inputs, so replaying the TCP log under the channel
+    // run's links must reach the channel run's op digest exactly.
+    assert_eq!(first_divergence(local.op_log(), dist.op_log()), None);
+    let mut replica = Planner::new(
+        dist.planner().config().clone(),
+        local.planner().links().cloned(),
+    );
+    replay_ops(&mut replica, dist.op_log());
+    assert_eq!(
+        replica.op_digest(),
+        local.planner().op_digest(),
+        "planner decisions diverged between channel and TCP"
     );
 
     // The distributed run measured its links; the in-process run modeled
