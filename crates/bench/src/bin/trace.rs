@@ -12,7 +12,6 @@ use grout_bench::ArtifactArgs;
 
 use grout::core::*;
 use grout::workloads::*;
-use serde::Serialize;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

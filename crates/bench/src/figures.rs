@@ -9,10 +9,10 @@ use grout::workloads::{
     gb, oversubscription_factor, run_workload, BlackScholes, ConjugateGradient, MatVec, MlEnsemble,
     RunOutcome, SimWorkload, PAPER_SIZES_GB,
 };
-use serde::Serialize;
+use serde_json::Value;
 
 /// One measured point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigPoint {
     /// Footprint in the paper's GB units.
     pub size_gb: u64,
@@ -24,8 +24,20 @@ pub struct FigPoint {
     pub timed_out: bool,
 }
 
+impl FigPoint {
+    /// The point as a JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("size_gb".into(), Value::U64(self.size_gb)),
+            ("factor".into(), Value::F64(self.factor)),
+            ("value".into(), Value::F64(self.value)),
+            ("timed_out".into(), Value::Bool(self.timed_out)),
+        ])
+    }
+}
+
 /// One labeled series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigSeries {
     /// Series label (workload or policy name).
     pub label: String,
@@ -33,8 +45,21 @@ pub struct FigSeries {
     pub points: Vec<FigPoint>,
 }
 
+impl FigSeries {
+    /// The series as a JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("label".into(), Value::String(self.label.clone())),
+            (
+                "points".into(),
+                Value::Array(self.points.iter().map(FigPoint::to_json).collect()),
+            ),
+        ])
+    }
+}
+
 /// A whole reproduced figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// Paper figure id ("fig1", "fig6a", ...).
     pub id: &'static str,
@@ -42,6 +67,21 @@ pub struct Figure {
     pub value_axis: &'static str,
     /// The series.
     pub series: Vec<FigSeries>,
+}
+
+impl Figure {
+    /// The figure as a JSON object (`repro_all --json`), fields in
+    /// declaration order.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("id".into(), Value::String(self.id.into())),
+            ("value_axis".into(), Value::String(self.value_axis.into())),
+            (
+                "series".into(),
+                Value::Array(self.series.iter().map(FigSeries::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 /// The paper's three distributed workloads.
@@ -165,7 +205,7 @@ pub fn fig7() -> Figure {
 
 /// One Figure 8 cell: a workload under a policy at one exploration level,
 /// normalized to round-robin.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Cell {
     /// Exploration level (Low/Medium/High).
     pub level: &'static str,
@@ -179,6 +219,20 @@ pub struct Fig8Cell {
     pub secs: f64,
     /// Run hit the 2.5 h cap.
     pub timed_out: bool,
+}
+
+impl Fig8Cell {
+    /// The cell as a JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("level".into(), Value::String(self.level.into())),
+            ("workload".into(), Value::String(self.workload.clone())),
+            ("policy".into(), Value::String(self.policy.into())),
+            ("normalized".into(), Value::F64(self.normalized)),
+            ("secs".into(), Value::F64(self.secs)),
+            ("timed_out".into(), Value::Bool(self.timed_out)),
+        ])
+    }
 }
 
 /// Figure 8: online vs offline policies at 3x oversubscription (96 GB) on
@@ -222,7 +276,7 @@ pub fn fig8() -> Vec<Fig8Cell> {
 }
 
 /// One Figure 9 point: mean wall-clock cost of a scheduling decision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Point {
     /// Policy name.
     pub policy: &'static str,
@@ -230,6 +284,17 @@ pub struct Fig9Point {
     pub nodes: usize,
     /// Mean microseconds per CE assignment (real wall clock).
     pub micros_per_ce: f64,
+}
+
+impl Fig9Point {
+    /// The point as a JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("policy".into(), Value::String(self.policy.into())),
+            ("nodes".into(), Value::U64(self.nodes as u64)),
+            ("micros_per_ce".into(), Value::F64(self.micros_per_ce)),
+        ])
+    }
 }
 
 /// Builds the synthetic Controller state for a Figure 9 measurement:

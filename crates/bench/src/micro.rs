@@ -13,8 +13,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use serde::json::Value;
-use serde::Serialize;
+use serde_json::Value;
 
 /// The workspace root (committed files) — `target/bench/` sits under it.
 const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -33,17 +32,37 @@ pub fn time(budget: Duration, mut routine: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     value: f64,
     unit: &'static str,
 }
 
-#[derive(Serialize)]
+impl Row {
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("name".into(), Value::String(self.name.clone())),
+            ("value".into(), Value::F64(self.value)),
+            ("unit".into(), Value::String(self.unit.into())),
+        ])
+    }
+}
+
 struct Artifact {
     bench: &'static str,
     results: Vec<Row>,
+}
+
+impl Artifact {
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("bench".into(), Value::String(self.bench.into())),
+            (
+                "results".into(),
+                Value::Array(self.results.iter().map(Row::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 /// One target's rows, bound for `target/bench/BENCH_<bench>.json`.
@@ -99,7 +118,7 @@ impl Bench {
         let file = file_name(self.artifact.bench);
         let dir = Path::new(ROOT).join("target/bench");
         std::fs::create_dir_all(&dir).expect("create target/bench");
-        let body = serde_json::to_string_pretty(&self.artifact).expect("serialize");
+        let body = serde_json::to_string_pretty(&self.artifact.to_json()).expect("serialize");
         std::fs::write(dir.join(&file), body + "\n").expect("write bench artifact");
         println!("bench {}: wrote target/bench/{file}", self.artifact.bench);
     }
@@ -129,7 +148,7 @@ mod tests {
         let mut b = Bench::new("micro_test", &[("a", 2.0)]);
         b.row("a", 1.0, "ns_per_iter");
         b.row("b", 3.0, "ratio");
-        let body = serde_json::to_string_pretty(&b.artifact).unwrap();
+        let body = serde_json::to_string_pretty(&b.artifact.to_json()).unwrap();
         assert_eq!(
             parse_rows(&body),
             [

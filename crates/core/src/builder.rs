@@ -111,7 +111,9 @@ impl Runtime {
 }
 
 /// Builder for [`SimRuntime`] and [`LocalRuntime`] sharing one knob
-/// surface. See the [module docs](self) for the two construction styles.
+/// surface: set the shared planner knobs once, then pick the backend with
+/// [`build_sim`](RuntimeBuilder::build_sim) or
+/// [`build_local`](RuntimeBuilder::build_local).
 #[derive(Debug, Clone)]
 pub struct RuntimeBuilder {
     workers: usize,
@@ -317,7 +319,7 @@ impl RuntimeBuilder {
         Ok(rt)
     }
 
-    /// Build the plan-executing backend over an explicit [`Transport`]
+    /// Build the plan-executing backend over an explicit [`Transport`](crate::Transport)
     /// (e.g. a `grout-net` TCP mesh). The endpoint count of the transport
     /// must match the configured worker count.
     pub fn build_with_transport(
@@ -374,7 +376,7 @@ pub(crate) fn validate_planner(cfg: &PlannerConfig) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// [`validate_planner`] plus the link-matrix checks: every input
+/// `validate_planner` plus the link-matrix checks: every input
 /// [`Planner::new`](crate::Planner::new) would panic on is an error. For
 /// planner configs read from a socket or a file.
 pub fn validate_planner_inputs(

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-pub use serde::json::Value;
+pub use serde_json::Value;
 
 use crate::telemetry::monotonic_ns;
 

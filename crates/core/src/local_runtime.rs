@@ -46,27 +46,21 @@ use crate::transport::{
 };
 
 /// Errors surfaced by the local runtime.
-#[derive(Debug, thiserror::Error)]
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum LocalError {
     /// A kernel launch failed inside a worker.
-    #[error("kernel launch failed: {0}")]
     Launch(LaunchError),
     /// A kernel launch failed; includes the failing CE's DAG index.
-    #[error("CE #{0} failed: {1}")]
     LaunchAt(DagIndex, LaunchError),
     /// The same array was passed twice to one kernel (aliasing unsupported).
-    #[error("array {0:?} aliased within one kernel")]
     Aliased(ArrayId),
     /// Unknown array id.
-    #[error("unknown array {0:?}")]
     UnknownArray(ArrayId),
     /// Argument count/type mismatch against the kernel signature.
-    #[error("bad kernel arguments: {0}")]
     BadArgs(String),
     /// A worker thread disappeared (channel closed or liveness probe found
     /// it gone) and recovery was disabled or impossible.
-    #[error("worker {worker} died (in-flight CE {at_ce:?})")]
     WorkerDied {
         /// The worker that actually died.
         worker: usize,
@@ -74,7 +68,6 @@ pub enum LocalError {
         at_ce: Option<DagIndex>,
     },
     /// A worker thread could not be spawned at startup.
-    #[error("worker {worker} failed to spawn: {reason}")]
     SpawnFailed {
         /// The worker that never came up.
         worker: usize,
@@ -82,11 +75,9 @@ pub enum LocalError {
         reason: String,
     },
     /// Every worker is dead or quarantined; no node can run kernels.
-    #[error("no healthy workers remain")]
     NoHealthyWorkers,
     /// Recovery could not reconstruct a lost array version: no surviving
     /// copy, no archived snapshot, and no completed writer CE to replay.
-    #[error("array {array:?} version {version} is unrecoverable")]
     Unrecoverable {
         /// The lost array.
         array: ArrayId,
@@ -94,12 +85,36 @@ pub enum LocalError {
         version: u64,
     },
     /// The shared scheduling core rejected the CE.
-    #[error("planning failed: {0}")]
     Plan(PlanError),
     /// An elastic membership change (join/leave) could not complete.
-    #[error("membership change failed: {0}")]
     Membership(String),
 }
+
+impl std::fmt::Display for LocalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LocalError::Launch(e) => write!(f, "kernel launch failed: {e}"),
+            LocalError::LaunchAt(at, e) => write!(f, "CE #{at} failed: {e}"),
+            LocalError::Aliased(array) => write!(f, "array {array:?} aliased within one kernel"),
+            LocalError::UnknownArray(array) => write!(f, "unknown array {array:?}"),
+            LocalError::BadArgs(why) => write!(f, "bad kernel arguments: {why}"),
+            LocalError::WorkerDied { worker, at_ce } => {
+                write!(f, "worker {worker} died (in-flight CE {at_ce:?})")
+            }
+            LocalError::SpawnFailed { worker, reason } => {
+                write!(f, "worker {worker} failed to spawn: {reason}")
+            }
+            LocalError::NoHealthyWorkers => f.write_str("no healthy workers remain"),
+            LocalError::Unrecoverable { array, version } => {
+                write!(f, "array {array:?} version {version} is unrecoverable")
+            }
+            LocalError::Plan(e) => write!(f, "planning failed: {e}"),
+            LocalError::Membership(why) => write!(f, "membership change failed: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for LocalError {}
 
 /// A host-side buffer (the backing store of a framework array).
 #[derive(Debug, Clone, PartialEq)]
@@ -254,7 +269,6 @@ pub struct LocalRuntime {
     /// Kernels already shipped to each worker (one `LoadKernel` each).
     loaded: Vec<HashSet<u64>>,
     stats: LocalStats,
-    kernels_by_worker: Vec<u64>,
     trace: SchedTrace,
     /// Per-worker liveness + membership epoch.
     detector: FailureDetector,
@@ -367,7 +381,6 @@ impl LocalRuntime {
             next_kernel_id: 0,
             loaded: vec![HashSet::new(); n],
             stats: LocalStats::default(),
-            kernels_by_worker: vec![0; n],
             trace,
             detector,
             logged: HashMap::new(),
@@ -570,9 +583,6 @@ impl LocalRuntime {
     /// Bookkeeping for a kernel completion reported by a worker.
     fn on_done(&mut self, dag_index: DagIndex, worker: usize, elapsed_ns: u64) {
         self.planner.mark_completed(dag_index);
-        if let Some(k) = self.kernels_by_worker.get_mut(worker) {
-            *k += 1;
-        }
         self.metrics.record_kernel(worker, elapsed_ns);
         self.metrics.execute.record(elapsed_ns);
         // Fallback synthetic span, only until the worker's first
@@ -606,7 +616,7 @@ impl LocalRuntime {
 
     /// Kernels completed per worker (load-balance observability).
     pub fn kernels_by_worker(&self) -> &[u64] {
-        &self.kernels_by_worker
+        &self.metrics.kernels_by_worker
     }
 
     /// Number of workers.
@@ -2003,7 +2013,6 @@ impl LocalRuntime {
         self.cfg.planner.workers = n;
         self.present.resize_with(n, HashSet::new);
         self.loaded.resize_with(n, HashSet::new);
-        self.kernels_by_worker.resize(n, 0);
         self.saw_worker_telemetry.resize(n, false);
         self.detector.grow(n);
         self.metrics.grow_workers(n);

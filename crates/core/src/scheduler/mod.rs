@@ -111,7 +111,7 @@ pub struct Planner {
     telemetry: Telemetry,
 }
 
-/// One in-flight CE moved off a dead node by [`Planner::recover`].
+/// One in-flight CE moved off a dead node by `Planner::recover`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reassignment {
     /// The moved CE.
@@ -123,7 +123,7 @@ pub struct Reassignment {
     pub movements: Vec<Movement>,
 }
 
-/// The outcome of quarantining a dead node ([`Planner::recover`]).
+/// The outcome of quarantining a dead node (`Planner::recover`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
     /// The quarantined worker.

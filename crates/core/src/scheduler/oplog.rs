@@ -45,18 +45,18 @@ use uvm_sim::{AccessMode, AccessPattern, MemAdvise};
 /// bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlannerOp {
-    /// Register a new framework-managed array ([`Planner::alloc`]).
+    /// Register a new framework-managed array (`Planner::alloc`).
     Alloc {
         /// Whole-array size.
         bytes: u64,
     },
-    /// Forget an array ([`Planner::free`]).
+    /// Forget an array (`Planner::free`).
     Free {
         /// The array to forget.
         array: ArrayId,
     },
     /// Algorithm 1 for one CE: DAG append, node assignment, movement
-    /// planning, eager coherence update ([`Planner::plan_ce`]).
+    /// planning, eager coherence update (`Planner::plan_ce`).
     PlanCe {
         /// The submitted CE.
         ce: Ce,
@@ -72,7 +72,7 @@ pub enum PlannerOp {
         worker: usize,
     },
     /// Quarantine a dead worker and replan its in-flight CEs
-    /// ([`Planner::recover`]).
+    /// (`Planner::recover`).
     Recover {
         /// The dead worker.
         dead: usize,
@@ -255,7 +255,7 @@ impl LoggedPlanner {
     // sites read exactly as before while every mutation still goes
     // through the ordered log.
 
-    /// Logged [`Planner::alloc`].
+    /// Logged `Planner::alloc`.
     pub fn alloc(&mut self, bytes: u64) -> ArrayId {
         match self.append(PlannerOp::Alloc { bytes }) {
             Ok(PlannerResp::Array(id)) => id,
@@ -263,12 +263,12 @@ impl LoggedPlanner {
         }
     }
 
-    /// Logged [`Planner::free`].
+    /// Logged `Planner::free`.
     pub fn free(&mut self, array: ArrayId) {
         let _ = self.append(PlannerOp::Free { array });
     }
 
-    /// Logged [`Planner::plan_ce`].
+    /// Logged `Planner::plan_ce`.
     pub fn plan_ce(&mut self, ce: &Ce) -> Result<Plan, PlanError> {
         match self.append(PlannerOp::PlanCe { ce: ce.clone() })? {
             PlannerResp::Plan(plan) => Ok(plan),
@@ -276,17 +276,17 @@ impl LoggedPlanner {
         }
     }
 
-    /// Logged [`Planner::mark_completed`].
+    /// Logged `Planner::mark_completed`.
     pub fn mark_completed(&mut self, dag_index: DagIndex) {
         let _ = self.append(PlannerOp::MarkCompleted { dag_index });
     }
 
-    /// Logged [`Planner::quarantine`].
+    /// Logged `Planner::quarantine`.
     pub fn quarantine(&mut self, worker: usize) -> Result<(), PlanError> {
         self.append(PlannerOp::Quarantine { worker }).map(|_| ())
     }
 
-    /// Logged [`Planner::recover`].
+    /// Logged `Planner::recover`.
     pub fn recover(&mut self, dead: usize, incomplete: &[DagIndex]) -> Result<Recovery, PlanError> {
         match self.append(PlannerOp::Recover {
             dead,
@@ -297,32 +297,32 @@ impl LoggedPlanner {
         }
     }
 
-    /// Logged [`Planner::suspect`].
+    /// Logged `Planner::suspect`.
     pub fn suspect(&mut self, worker: usize) {
         let _ = self.append(PlannerOp::Suspect { worker });
     }
 
-    /// Logged [`Planner::reinstate`].
+    /// Logged `Planner::reinstate`.
     pub fn reinstate(&mut self, worker: usize) {
         let _ = self.append(PlannerOp::Reinstate { worker });
     }
 
-    /// Logged [`Planner::rejoin`].
+    /// Logged `Planner::rejoin`.
     pub fn rejoin(&mut self, worker: usize) {
         let _ = self.append(PlannerOp::Rejoin { worker });
     }
 
-    /// Logged [`Planner::join`].
+    /// Logged `Planner::join`.
     pub fn join(&mut self, worker: usize) {
         let _ = self.append(PlannerOp::Join { worker });
     }
 
-    /// Logged [`Planner::leave`].
+    /// Logged `Planner::leave`.
     pub fn leave(&mut self, worker: usize) -> Result<(), PlanError> {
         self.append(PlannerOp::Leave { worker }).map(|_| ())
     }
 
-    /// Logged [`Planner::reprobe_links`].
+    /// Logged `Planner::reprobe_links`.
     pub fn reprobe_links(&mut self, links: LinkMatrix) {
         let _ = self.append(PlannerOp::ReprobeLinks { links });
     }

@@ -12,6 +12,7 @@ use crate::ce::ArrayId;
 use crate::coherence::Location;
 use crate::dag::DagIndex;
 use crate::intranode::Placement;
+use serde_json::Value;
 
 /// How a data movement travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,86 +99,80 @@ impl Plan {
 }
 
 /// Planning failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, thiserror::Error)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlanError {
     /// A CE references an array that was freed (or never allocated through
     /// the planner).
-    #[error("CE references array {0:?} after free()")]
     UseAfterFree(ArrayId),
     /// Recovery cannot proceed: quarantining the failed node would leave
     /// zero healthy workers.
-    #[error("no healthy workers remain after quarantine")]
     NoHealthyWorkers,
     /// A runtime was configured with values that cannot schedule anything
     /// (zero workers, empty vector-step vector, mismatched topology, ...).
-    #[error("invalid runtime configuration: {0}")]
     InvalidConfig(&'static str),
 }
 
-impl serde::Serialize for MovementKind {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::String(self.name().to_string())
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::UseAfterFree(array) => {
+                write!(f, "CE references array {array:?} after free()")
+            }
+            PlanError::NoHealthyWorkers => {
+                f.write_str("no healthy workers remain after quarantine")
+            }
+            PlanError::InvalidConfig(why) => write!(f, "invalid runtime configuration: {why}"),
+        }
     }
 }
 
-impl serde::Serialize for Movement {
-    fn to_json_value(&self) -> serde::json::Value {
-        serde::json::Value::Object(vec![
-            ("array".to_string(), serde::json::Value::U64(self.array.0)),
+impl std::error::Error for PlanError {}
+
+impl Movement {
+    /// The movement as a JSON object, fields in declaration order.
+    pub fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("array".to_string(), Value::U64(self.array.0)),
+            ("from".to_string(), Value::U64(self.from.0 as u64)),
+            ("to".to_string(), Value::U64(self.to.0 as u64)),
+            ("bytes".to_string(), Value::U64(self.bytes)),
             (
-                "from".to_string(),
-                serde::json::Value::U64(self.from.0 as u64),
+                "kind".to_string(),
+                Value::String(self.kind.name().to_string()),
             ),
-            ("to".to_string(), serde::json::Value::U64(self.to.0 as u64)),
-            ("bytes".to_string(), serde::json::Value::U64(self.bytes)),
-            ("kind".to_string(), self.kind.to_json_value()),
         ])
     }
 }
 
-impl serde::Serialize for Plan {
-    fn to_json_value(&self) -> serde::json::Value {
+impl Plan {
+    /// The plan as a JSON object (one `trace --plans` line), fields in
+    /// declaration order; a plan without placement has `"placement": null`.
+    pub fn to_json_value(&self) -> Value {
         let placement = match &self.placement {
-            Some(p) => serde::json::Value::Object(vec![
-                (
-                    "device".to_string(),
-                    serde::json::Value::U64(p.device.0 as u64),
-                ),
-                (
-                    "stream".to_string(),
-                    serde::json::Value::U64(p.stream.0 as u64),
-                ),
+            Some(p) => Value::Object(vec![
+                ("device".to_string(), Value::U64(p.device.0 as u64)),
+                ("stream".to_string(), Value::U64(p.stream.0 as u64)),
                 (
                     "reused_parent_stream".to_string(),
-                    serde::json::Value::Bool(p.reused_parent_stream),
+                    Value::Bool(p.reused_parent_stream),
                 ),
             ]),
-            None => serde::json::Value::Null,
+            None => Value::Null,
         };
-        serde::json::Value::Object(vec![
-            (
-                "dag_index".to_string(),
-                serde::json::Value::U64(self.dag_index as u64),
-            ),
+        Value::Object(vec![
+            ("dag_index".to_string(), Value::U64(self.dag_index as u64)),
             (
                 "deps".to_string(),
-                serde::json::Value::Array(
-                    self.deps
-                        .iter()
-                        .map(|&d| serde::json::Value::U64(d as u64))
-                        .collect(),
-                ),
+                Value::Array(self.deps.iter().map(|&d| Value::U64(d as u64)).collect()),
             ),
             (
                 "assigned_node".to_string(),
-                serde::json::Value::U64(self.assigned_node.0 as u64),
+                Value::U64(self.assigned_node.0 as u64),
             ),
             (
                 "movements".to_string(),
-                serde::json::Value::Array(
-                    self.movements.iter().map(|m| m.to_json_value()).collect(),
-                ),
+                Value::Array(self.movements.iter().map(Movement::to_json_value).collect()),
             ),
             ("placement".to_string(), placement),
         ])
@@ -187,7 +182,6 @@ impl serde::Serialize for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
 
     fn plan() -> Plan {
         Plan {

@@ -33,7 +33,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use serde::json::Value;
+use serde_json::Value;
 
 use crate::faults::SchedEvent;
 use crate::policy::LinkMatrix;

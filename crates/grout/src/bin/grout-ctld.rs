@@ -6,7 +6,7 @@
 //! - each `grout-run --connect` client gets its own planner/DAG/coherence
 //!   state machine behind a namespace-tagged
 //!   [`SessionTransport`](grout::core::SessionTransport),
-//! - an [`AdmissionController`](grout::core::AdmissionController) decides
+//! - an [`AdmissionController`] decides
 //!   per attach whether the session runs now, waits its turn, or is
 //!   rejected with a typed wire error,
 //! - a weighted-round-robin fair-share scheduler drains every session's
@@ -26,9 +26,11 @@
 //! [`grout::core::eventlog`].
 //!
 //! Usage:
-//!   grout-ctld --listen 127.0.0.1:7070 --threads 4
-//!   grout-ctld --listen <addr> --workers tcp:<addr>,<addr> --batch
-//!   grout-ctld --listen <addr> --http 127.0.0.1:9090
+//! ```text
+//! grout-ctld --listen 127.0.0.1:7070 --threads 4
+//! grout-ctld --listen <addr> --workers tcp:<addr>,<addr> --batch
+//! grout-ctld --listen <addr> --http 127.0.0.1:9090
+//! ```
 //!
 //! The daemon announces `CTLD LISTENING <addr>` on stdout once the fleet
 //! is up and the socket is bound — scripts wait for that line. With
@@ -53,7 +55,7 @@ use grout::net::oplog::JournalWriter;
 use grout::net::wire::{self, ClientMsg, CtldMsg};
 use grout::polyglot::run_script;
 use grout::{ChromeTracer, Polyglot, Shared, TcpConfig, TcpTransport};
-use serde::json::Value;
+use serde_json::Value;
 
 /// Where the fleet lives.
 enum Fleet {

@@ -1,9 +1,11 @@
 //! `grout-run` — execute a GuestScript program on a GrOUT deployment.
 //!
 //! Usage:
-//!   grout-run <script.gs> [--workers N | --workers tcp:<addr>,<addr>,...]
-//!   grout-run -e '...inline script...' [--workers ...]
-//!   grout-run <script.gs> --connect <addr> [--priority low|normal|high]
+//! ```text
+//! grout-run <script.gs> [--workers N | --workers tcp:<addr>,<addr>,...]
+//! grout-run -e '...inline script...' [--workers ...]
+//! grout-run <script.gs> --connect <addr> [--priority low|normal|high]
+//! ```
 //!
 //! `--workers N` deploys N in-process worker threads; `--workers
 //! tcp:<addr>,...` connects to already-running `grout-workerd` processes

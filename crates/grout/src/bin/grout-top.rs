@@ -1,7 +1,9 @@
 //! `grout-top` — a live terminal view of a running `grout-ctld` fleet.
 //!
 //! Usage:
-//!   grout-top <http-addr> [--interval-ms N] [--once]
+//! ```text
+//! grout-top <http-addr> [--interval-ms N] [--once]
+//! ```
 //!
 //! Polls the daemon's introspection plane (`--http` on `grout-ctld`):
 //! `/healthz` for the fleet header, `/metrics` for per-worker occupancy
@@ -17,7 +19,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use grout::net::http::http_get;
-use serde::json::Value;
+use serde_json::Value;
 
 const USAGE: &str = "usage: grout-top <http-addr> [--interval-ms N] [--once]";
 

@@ -1,7 +1,9 @@
 //! `grout-workerd` — one GrOUT worker endpoint per process.
 //!
 //! Usage:
-//!   grout-workerd [--listen <addr>] [--http <addr>]
+//! ```text
+//! grout-workerd [--listen <addr>] [--http <addr>]
+//! ```
 //!
 //! Binds `<addr>` (default `127.0.0.1:0`, letting the OS pick a port),
 //! announces the bound address as `LISTENING <addr>` on stdout — the line
@@ -29,7 +31,7 @@ use std::sync::OnceLock;
 use grout::core::eventlog::{self, EventLog};
 use grout::core::{monotonic_ns, MetricKind, MetricsSnapshot};
 use grout::net::http::{HttpServer, Introspect};
-use serde::json::Value;
+use serde_json::Value;
 
 /// Set by the SIGTERM handler; the serve loop polls it on its telemetry
 /// tick and exits through the graceful-leave path.

@@ -1,9 +1,8 @@
 //! The wire protocol: framing, handshake and the message codec.
 //!
-//! Everything is hand-rolled little-endian binary — the vendored `serde`
-//! shim is serialize-only, and a byte-exact float encoding
-//! (`f32::to_le_bytes`) is what makes the TCP loopback differential test
-//! bit-identical to the in-process run anyway.
+//! Everything is hand-rolled little-endian binary: a byte-exact float
+//! encoding (`f32::to_le_bytes`) is what makes the TCP loopback
+//! differential test bit-identical to the in-process run.
 //!
 //! ## Frame layout
 //!

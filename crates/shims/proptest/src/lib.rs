@@ -479,7 +479,7 @@ pub fn any<T: Arbitrary>() -> T::Strategy {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,

@@ -1,13 +1,101 @@
-//! Offline stand-in for `serde_json`: re-exports the `serde` shim's JSON
-//! [`Value`], plus `to_value` and `to_string_pretty` with real JSON output
+//! Offline stand-in for `serde_json`, scoped to what this workspace needs:
+//! the in-memory JSON [`Value`] every JSON producer in the workspace builds
+//! by hand, [`to_string`] / [`to_string_pretty`] with real JSON output
 //! (string escaping, 2-space indentation, stable field order), and
-//! [`from_str`] — a recursive-descent parser back into [`Value`] so
-//! consumers (trace differentials, `grout-top`) can read what the
-//! serializers wrote.
+//! [`from_str`], a recursive-descent parser back into [`Value`] so
+//! consumers (trace differentials, `grout-top`, the repository benchmark)
+//! can read what the serializers wrote.
+//!
+//! Unlike upstream there is no `Serialize` trait and no derive: the
+//! renderers take a `&Value`, and a type that has a JSON form builds its
+//! `Value` in an inherent method. `Value::Object` is an ordered `Vec`, so
+//! output keys keep insertion order.
 
 use std::fmt::Write as _;
 
-pub use serde::json::Value;
+/// An in-memory JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Floating point number.
+    F64(f64),
+    /// String.
+    String(String),
+    /// Array.
+    Array(Vec<Value>),
+    /// Object; insertion order is preserved.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Looks a key up in an object (first match; `None` otherwise).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as `u64`, widening from any non-negative numeric
+    /// representation.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::U64(n) => Some(*n),
+            Value::I64(n) if *n >= 0 => Some(*n as u64),
+            Value::F64(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64`, widening from any numeric representation.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::U64(n) => Some(*n as f64),
+            Value::I64(n) => Some(*n as f64),
+            Value::F64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The array items, if this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The object fields in insertion order, if this is an object.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(fields) => Some(fields),
+            _ => None,
+        }
+    }
+}
 
 /// Serialization or parse error. Serialization is infallible in the
 /// shim's data model; parsing reports the byte offset it gave up at.
@@ -22,33 +110,35 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Converts any `Serialize` type into a [`Value`].
-pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
-    Ok(value.to_json_value())
-}
-
-/// Renders a `Serialize` type as pretty-printed JSON (2-space indent).
-pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error> {
+/// Renders a [`Value`] as pretty-printed JSON (2-space indent).
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_json_value(), 0);
+    write_value(&mut out, value, 0);
     Ok(out)
 }
 
-/// Renders a `Serialize` type as compact JSON.
-pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String, Error> {
+/// Renders a [`Value`] as compact JSON.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_compact(&mut out, &value.to_json_value());
+    write_compact(&mut out, value);
     Ok(out)
 }
+
+/// How deeply arrays and objects may nest in [`from_str`] input (upstream
+/// serde_json's limit). The parser recurses once per level, so the cap
+/// keeps hostile input from overflowing the stack.
+const MAX_DEPTH: usize = 128;
 
 /// Parses JSON text into a [`Value`]. Numbers parse as `U64`/`I64` when
 /// integral and in range, `F64` otherwise; object key order is preserved
 /// (the shim's `Value::Object` is an ordered `Vec`). Trailing whitespace
-/// is allowed, trailing garbage is an error.
+/// is allowed, trailing garbage is an error, and so is nesting deeper
+/// than 128 arrays/objects.
 pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -62,6 +152,8 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -103,11 +195,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -477,5 +581,18 @@ mod tests {
         assert_eq!(items[1].as_f64(), Some(2.5));
         assert_eq!(v.get("n").unwrap().as_u64(), None);
         assert_eq!(v.get("nope"), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nested(128)).is_ok());
+        let err = from_str(&nested(129)).unwrap_err().to_string();
+        assert!(err.contains("at byte 128"), "{err}");
+        // Far past the cap: an error, not a stack overflow.
+        assert!(from_str(&nested(1_000_000)).is_err());
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(from_str(&objects(128)).is_ok());
+        assert!(from_str(&objects(129)).is_err());
     }
 }

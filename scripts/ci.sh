@@ -323,6 +323,9 @@ done
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc (no warnings: broken or private intra-doc links, stray HTML)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

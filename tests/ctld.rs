@@ -27,7 +27,7 @@ use grout::net::http::http_get;
 use grout::net::CtldClient;
 use grout::LocalArg;
 use proptest::prelude::*;
-use serde::json::Value;
+use serde_json::Value;
 
 const N: usize = 1 << 8;
 

@@ -17,6 +17,7 @@ use grout::core::{first_divergence, replay_ops, LocalRuntime, Planner, PolicyKin
 use grout::LocalArg;
 use grout::{TcpExt, WorkerSpec};
 use kernelc::CompiledKernel;
+use serde_json::Value;
 
 const N: usize = 1 << 10;
 
@@ -209,8 +210,7 @@ fn tcp_loopback_matches_in_process_bit_for_bit() {
 }
 
 /// The `traceEvents` array of a Chrome trace value.
-fn trace_events(trace: &serde::json::Value) -> &[serde::json::Value] {
-    use serde::json::Value;
+fn trace_events(trace: &Value) -> &[Value] {
     let Value::Object(top) = trace else {
         panic!("trace is not an object")
     };
@@ -221,16 +221,14 @@ fn trace_events(trace: &serde::json::Value) -> &[serde::json::Value] {
 }
 
 /// One field of a JSON object event (`None` when absent).
-fn field<'a>(ev: &'a serde::json::Value, key: &str) -> Option<&'a serde::json::Value> {
-    use serde::json::Value;
+fn field<'a>(ev: &'a Value, key: &str) -> Option<&'a Value> {
     let Value::Object(fields) = ev else {
         return None;
     };
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn as_f64(v: Option<&serde::json::Value>) -> Option<f64> {
-    use serde::json::Value;
+fn as_f64(v: Option<&Value>) -> Option<f64> {
     match v {
         Some(Value::F64(x)) => Some(*x),
         Some(Value::U64(x)) => Some(*x as f64),
@@ -239,16 +237,14 @@ fn as_f64(v: Option<&serde::json::Value>) -> Option<f64> {
     }
 }
 
-fn as_u64(v: Option<&serde::json::Value>) -> Option<u64> {
-    use serde::json::Value;
+fn as_u64(v: Option<&Value>) -> Option<u64> {
     match v {
         Some(Value::U64(x)) => Some(*x),
         _ => None,
     }
 }
 
-fn as_str(v: Option<&serde::json::Value>) -> Option<&str> {
-    use serde::json::Value;
+fn as_str(v: Option<&Value>) -> Option<&str> {
     match v {
         Some(Value::String(s)) => Some(s.as_str()),
         _ => None,

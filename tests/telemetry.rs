@@ -7,7 +7,7 @@ use grout::{
     CeArg, ChromeTracer, FaultPlan, KernelCost, Lane, Observability, PolicyKind, Runtime, Shared,
     SimConfig, SimRuntime, Telemetry,
 };
-use serde::json::Value;
+use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
