@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use grout::core::{first_divergence, replay_ops, LocalRuntime, Planner, PolicyKind, Runtime};
+use grout::core::{
+    first_divergence, replay_ops, LocalRuntime, Planner, PlannerOp, PolicyKind, Runtime,
+};
 use grout::LocalArg;
 use grout::{TcpExt, WorkerSpec};
 use kernelc::CompiledKernel;
@@ -152,6 +154,21 @@ fn run_workload(rt: &mut LocalRuntime) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// `ops` with each run of adjacent [`PlannerOp::MarkCompleted`]s sorted by
+/// DAG index, so two logs that saw the same completions in a different
+/// arrival order compare equal.
+fn canonical_completions(ops: &[PlannerOp]) -> Vec<PlannerOp> {
+    let completed = |op: &PlannerOp| match op {
+        PlannerOp::MarkCompleted { dag_index } => Some(*dag_index),
+        _ => None,
+    };
+    let mut out = ops.to_vec();
+    for run in out.chunk_by_mut(|a, b| completed(a).is_some() && completed(b).is_some()) {
+        run.sort_by_key(completed);
+    }
+    out
+}
+
 #[test]
 fn tcp_loopback_matches_in_process_bit_for_bit() {
     let mut local = Runtime::builder()
@@ -181,22 +198,36 @@ fn tcp_loopback_matches_in_process_bit_for_bit() {
         dist.coherence(),
         "final coherence directories diverged"
     );
-    // Both transports fed the planner the same op stream. The decisions
-    // differ where the links steer them: the TCP planner holds probed
-    // links, and `best_source` picks a P2P source by bandwidth, so its op
-    // digest differs from the channel run's. The op digest does not cover
-    // construction inputs, so replaying the TCP log under the channel
-    // run's links must reach the channel run's op digest exactly.
-    assert_eq!(first_divergence(local.op_log(), dist.op_log()), None);
-    let mut replica = Planner::new(
-        dist.planner().config().clone(),
-        local.planner().links().cloned(),
-    );
-    replay_ops(&mut replica, dist.op_log());
+    // Both transports fed the planner the same op stream, up to the order
+    // of completions that raced: independent CEs on different workers
+    // finish in either order, and each run logs its `MarkCompleted`s as
+    // they arrive. Adjacent completions commute, so sort each run of them.
+    let local_ops = canonical_completions(local.op_log());
+    let dist_ops = canonical_completions(dist.op_log());
+    assert_eq!(first_divergence(&local_ops, &dist_ops), None);
+    // The decisions differ where the links steer them: the TCP planner
+    // holds probed links, and `best_source` picks a P2P source by
+    // bandwidth, so its op digest differs from the channel run's. Replayed
+    // on a planner built with the channel run's config and links, both
+    // canonical logs must reach one op digest, and the TCP log as recorded
+    // must reach the channel run's live state exactly.
+    let replay = |ops: &[PlannerOp]| {
+        let mut replica = Planner::new(
+            local.planner().config().clone(),
+            local.planner().links().cloned(),
+        );
+        replay_ops(&mut replica, ops);
+        replica
+    };
     assert_eq!(
-        replica.op_digest(),
-        local.planner().op_digest(),
+        replay(&dist_ops).op_digest(),
+        replay(&local_ops).op_digest(),
         "planner decisions diverged between channel and TCP"
+    );
+    assert_eq!(
+        replay(dist.op_log()).state_digest(),
+        local.planner().state_digest(),
+        "planner state diverged between channel and TCP"
     );
 
     // The distributed run measured its links; the in-process run modeled
