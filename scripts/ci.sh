@@ -10,6 +10,17 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark harness (its own workspace: built and tested against today's API)"
+# Cargo rewrites benchmark/Cargo.lock on every build (it still lists crates
+# the workspace no longer vendors); the committed lockfile must not change.
+BENCH_LOCK=$(mktemp)
+cp benchmark/Cargo.lock "$BENCH_LOCK"
+trap 'cp "$BENCH_LOCK" benchmark/Cargo.lock; rm -f "$BENCH_LOCK"' EXIT
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cp "$BENCH_LOCK" benchmark/Cargo.lock
+rm -f "$BENCH_LOCK"
+trap - EXIT
+
 echo "==> chaos (fault-injection differential, seed matrix)"
 cargo run --release -q -p grout-bench --bin chaos -- --seeds 8
 
