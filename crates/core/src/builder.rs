@@ -25,78 +25,12 @@
 //! [`RuntimeBuilder::local_config`] escape hatches; those override the
 //! knob-style setters entirely (telemetry still applies).
 
-use crate::faults::{FaultConfig, FaultPlan, NetFaultPlan};
+use crate::faults::{FaultConfig, FaultPlan};
 use crate::local_runtime::{LocalConfig, LocalError, LocalRuntime};
 use crate::policy::{LinkMatrix, PolicyKind};
 use crate::scheduler::{PlanError, PlannerConfig, SchedTrace};
 use crate::sim_runtime::{SimConfig, SimRuntime};
 use crate::telemetry::{Metrics, Recorder, Telemetry};
-
-/// Grouped network/liveness knobs: one struct instead of the flags that
-/// accreted across the heartbeat, suspect/resume and TCP-probe work.
-///
-/// The three liveness knobs overlay the planner's [`FaultConfig`] (they
-/// are the same values — `RuntimeBuilder::net` keeps the two surfaces in
-/// sync); the `Option` fields are TCP-transport extras that in-process
-/// deployments ignore.
-///
-/// ```
-/// use grout_core::{NetOptions, Runtime};
-/// let rt = Runtime::builder()
-///     .workers(2)
-///     .net(NetOptions {
-///         heartbeat_ms: 50,
-///         stale_after_beats: 4,
-///         ..NetOptions::default()
-///     })
-///     .build_local();
-/// # let _ = rt;
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetOptions {
-    /// Worker heartbeat cadence in milliseconds.
-    pub heartbeat_ms: u32,
-    /// Heartbeats a worker may miss before it is suspected (socket
-    /// severed, session resume engaged).
-    pub stale_after_beats: u32,
-    /// How long a suspected worker may keep failing resumes before it is
-    /// declared dead and quarantined, in milliseconds.
-    pub reconnect_window_ms: u64,
-    /// Ballast bytes per startup bandwidth probe (TCP only; `None` keeps
-    /// the transport default).
-    pub probe_bytes: Option<u64>,
-    /// Per-probe echo timeout in milliseconds (TCP only).
-    pub probe_timeout_ms: Option<u64>,
-    /// How long to wait for a spawned `grout-workerd` to announce its
-    /// listen address, in milliseconds (TCP only).
-    pub spawn_timeout_ms: Option<u64>,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        let fc = FaultConfig::default();
-        NetOptions {
-            heartbeat_ms: fc.heartbeat_ms,
-            stale_after_beats: fc.stale_after_beats,
-            reconnect_window_ms: fc.reconnect_window.0 / 1_000_000,
-            probe_bytes: None,
-            probe_timeout_ms: None,
-            spawn_timeout_ms: None,
-        }
-    }
-}
-
-/// Grouped durability knobs: where the planner's op log goes. The paths
-/// are carried by the builder and consumed by the front-ends that own
-/// the sinks (`grout-net` attaches the journal/ship-log writers; the
-/// simulator ignores them).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DurabilityOptions {
-    /// Stream every planner op to this crash-recovery journal file.
-    pub journal: Option<std::path::PathBuf>,
-    /// Ship every planner op to a hot-standby controller at this address.
-    pub ship_log: Option<String>,
-}
 
 /// Namespace for [`Runtime::builder`]; the builder is the only way to
 /// construct a runtime without naming a backend-specific config struct.
@@ -123,10 +57,7 @@ pub struct RuntimeBuilder {
     controller_colocated: bool,
     faults: FaultPlan,
     fault_cfg: FaultConfig,
-    net_faults: NetFaultPlan,
     telemetry: Telemetry,
-    net: Option<NetOptions>,
-    durability: DurabilityOptions,
     sim: Option<SimConfig>,
     local: Option<LocalConfig>,
 }
@@ -141,10 +72,7 @@ impl Default for RuntimeBuilder {
             controller_colocated: false,
             faults: FaultPlan::none(),
             fault_cfg: FaultConfig::default(),
-            net_faults: NetFaultPlan::none(),
             telemetry: Telemetry::off(),
-            net: None,
-            durability: DurabilityOptions::default(),
             sim: None,
             local: None,
         }
@@ -188,70 +116,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Detection/retry/backoff knobs for the recovery path. The three
-    /// net-liveness fields (`heartbeat_ms`, `stale_after_beats`,
-    /// `reconnect_window`) are better set through
-    /// [`RuntimeBuilder::net`], which groups them with the TCP-only
-    /// knobs; whichever of the two setters is called last wins.
+    /// Detection/retry/backoff knobs for the recovery path.
     pub fn fault_config(mut self, cfg: FaultConfig) -> Self {
         self.fault_cfg = cfg;
-        self
-    }
-
-    /// Grouped network/liveness knobs (heartbeat cadence, staleness,
-    /// resume window, TCP probe/spawn sizing). The liveness trio is
-    /// mirrored into the planner's [`FaultConfig`] so one call tunes both
-    /// the in-process and the TCP deployment.
-    pub fn net(mut self, opts: NetOptions) -> Self {
-        self.fault_cfg.heartbeat_ms = opts.heartbeat_ms;
-        self.fault_cfg.stale_after_beats = opts.stale_after_beats;
-        self.fault_cfg.reconnect_window = crate::SimDuration::from_millis(opts.reconnect_window_ms);
-        self.net = Some(opts);
-        self
-    }
-
-    /// Read-back of the grouped net knobs (`None` if [`RuntimeBuilder::net`]
-    /// was never called); transport front-ends consume the TCP-only
-    /// fields from here.
-    pub fn net_options_ref(&self) -> Option<&NetOptions> {
-        self.net.as_ref()
-    }
-
-    /// Grouped durability knobs: op-log journal path and hot-standby
-    /// ship-log address. The builder only carries them — the front-end
-    /// that owns the sinks (e.g. `grout-net`'s `apply_durability`)
-    /// attaches the writers after the runtime is built.
-    pub fn durability(mut self, opts: DurabilityOptions) -> Self {
-        self.durability = opts;
-        self
-    }
-
-    /// Read-back of the grouped durability knobs.
-    pub fn durability_ref(&self) -> &DurabilityOptions {
-        &self.durability
-    }
-
-    /// Read-back of the configured fault knobs, for transport front-ends
-    /// that derive their timing from the same surface (the TCP builder
-    /// turns `heartbeat_ms` / `stale_after_beats` / `reconnect_window`
-    /// into socket-level cadence and resume windows).
-    pub fn fault_config_ref(&self) -> &FaultConfig {
-        &self.fault_cfg
-    }
-
-    /// Read-back of the configured network-chaos plan (the TCP builder
-    /// forwards it to the socket layer).
-    pub fn net_faults_ref(&self) -> &NetFaultPlan {
-        &self.net_faults
-    }
-
-    /// Deterministic network-chaos schedule (frame drops, duplicates,
-    /// delays, severs, partitions) injected below the reliable-session
-    /// layer. Local backend only; the simulator has no wire. The chaos
-    /// differential harness asserts runs under any such plan stay
-    /// bit-identical to the clean run.
-    pub fn net_faults(mut self, plan: NetFaultPlan) -> Self {
-        self.net_faults = plan;
         self
     }
 
@@ -305,16 +172,8 @@ impl RuntimeBuilder {
 
     /// Build the real threaded controller/worker backend.
     pub fn build_local(self) -> Result<LocalRuntime, LocalError> {
-        let net_faults = self.net_faults.clone();
         let (cfg, telemetry) = self.into_local_parts();
-        let mut rt = if net_faults.is_empty() {
-            LocalRuntime::try_new(cfg)?
-        } else {
-            crate::builder::validate_planner(&cfg.planner).map_err(LocalError::Plan)?;
-            let mut transport = crate::transport::ChannelTransport::new(cfg.planner.workers);
-            transport.set_net_faults(net_faults);
-            LocalRuntime::with_transport(cfg, Box::new(transport))?
-        };
+        let mut rt = LocalRuntime::try_new(cfg)?;
         rt.set_telemetry(telemetry);
         Ok(rt)
     }

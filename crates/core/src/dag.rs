@@ -354,13 +354,6 @@ impl DepDag {
         !self.nodes[i].completed && self.nodes[i].unmet == 0
     }
 
-    /// All currently runnable CEs (dependencies met, not completed).
-    pub fn ready_set(&self) -> Vec<DagIndex> {
-        (0..self.nodes.len())
-            .filter(|&i| self.is_ready(i))
-            .collect()
-    }
-
     /// Appends a canonical dump of the DAG to `out` (maps and sets in
     /// sorted order) for the planner state digest. Only canonical state is
     /// dumped: `refs`, slot numbers and the ancestor rows are derived.
@@ -470,11 +463,16 @@ mod tests {
         let mut dag = DepDag::new();
         dag.add_ce(&ce(0, vec![CeArg::write(A, 8)]));
         dag.add_ce(&ce(1, vec![CeArg::read(A, 8)]));
-        assert_eq!(dag.ready_set(), vec![0]);
+        let ready = |dag: &DepDag| {
+            (0..dag.len())
+                .filter(|&i| dag.is_ready(i))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ready(&dag), vec![0]);
         dag.mark_completed(0);
-        assert_eq!(dag.ready_set(), vec![1]);
+        assert_eq!(ready(&dag), vec![1]);
         dag.mark_completed(1);
-        assert!(dag.ready_set().is_empty());
+        assert!(ready(&dag).is_empty());
     }
 
     #[test]

@@ -184,32 +184,22 @@ impl FaultPlan {
 
 /// What goes wrong on the wire at a given frame.
 ///
-/// All of these are *omission-class* faults the session-resume layer must
-/// absorb: the planner-visible delivery stream of a chaos run is required
-/// to be bit-identical to the clean run (no quarantine, no replay — just
-/// retransmits and resumes counted in the wire stats).
+/// Both kinds cut a live TCP connection under the controller; the
+/// session-resume layer must absorb them. The planner-visible delivery
+/// stream of a chaos run is required to be bit-identical to the clean run
+/// (no quarantine, no replay — just resumes counted in the wire stats).
+/// Lost, duplicated and reordered frames are covered below the socket by
+/// the `SendBuffer`/`RecvCursor` property tests in `grout-net`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultKind {
-    /// The frame is lost in transit and must be retransmitted from the
-    /// unacked buffer.
-    DropFrame,
-    /// The frame arrives twice; the receiver's sequence cursor drops the
-    /// duplicate.
-    DupFrame,
-    /// The frame arrives late by `delay` (reordering within the resend
-    /// window; sequencing restores order).
-    DelayFrame {
-        /// Extra in-flight latency.
-        delay: SimDuration,
-    },
     /// The connection is torn down at this frame; the controller re-dials
     /// and resumes the session, replaying unacked frames.
     Sever,
-    /// The peer is unreachable for the next `frames` control frames; all
-    /// traffic in the window is absorbed by the resume machinery once the
-    /// partition heals.
+    /// The connection is torn down and re-dials are suppressed for
+    /// `frames` heartbeat periods; the resume machinery absorbs all
+    /// traffic sent in the window once the partition heals.
     Partition {
-        /// Window length, in control frames sent to the peer.
+        /// Window length, in heartbeat periods.
         frames: u64,
     },
 }
@@ -218,9 +208,6 @@ impl NetFaultKind {
     /// Short label used in traces.
     pub fn name(self) -> &'static str {
         match self {
-            NetFaultKind::DropFrame => "drop-frame",
-            NetFaultKind::DupFrame => "dup-frame",
-            NetFaultKind::DelayFrame { .. } => "delay-frame",
             NetFaultKind::Sever => "sever",
             NetFaultKind::Partition { .. } => "partition",
         }
@@ -239,13 +226,14 @@ pub struct NetFaultEvent {
     pub kind: NetFaultKind,
 }
 
-/// A deterministic, replayable schedule of network faults.
+/// A deterministic, replayable schedule of network faults, injected by
+/// the TCP transport (its `TcpConfig::net_faults`).
 ///
 /// Keyed on per-peer control-frame counts (not wall-clock time) for the
-/// same reason [`FaultPlan`] keys on DAG indices: the in-process and TCP
-/// transports send the identical frame stream, so both can honour the
-/// identical schedule and the chaos differential harness can assert
-/// bit-identical outcomes.
+/// same reason [`FaultPlan`] keys on DAG indices: a run sends the same
+/// control-frame stream every time, so the schedule fires at the same
+/// points and the chaos differential harness can assert bit-identical
+/// outcomes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetFaultPlan {
     events: Vec<NetFaultEvent>,
@@ -273,7 +261,8 @@ impl NetFaultPlan {
     }
 
     /// Seeded mixed plan: for each of `peers` workers, each of the first
-    /// `frames` control frames draws a fault with probability `rate`.
+    /// `frames` control frames draws a sever or a partition with
+    /// probability `rate`.
     /// Deterministic per seed via [`desim::seeded_rng`].
     pub fn seeded(seed: u64, peers: usize, frames: u64, rate: f64) -> Self {
         let mut rng = desim::seeded_rng(seed);
@@ -283,16 +272,12 @@ impl NetFaultPlan {
                 if !rng.gen_bool(rate) {
                     continue;
                 }
-                let kind = match rng.gen_range(0u32..5) {
-                    0 => NetFaultKind::DropFrame,
-                    1 => NetFaultKind::DupFrame,
-                    2 => NetFaultKind::DelayFrame {
-                        delay: SimDuration::from_millis(rng.gen_range(1u64..20)),
-                    },
-                    3 => NetFaultKind::Sever,
-                    _ => NetFaultKind::Partition {
+                let kind = if rng.gen_bool(0.5) {
+                    NetFaultKind::Sever
+                } else {
+                    NetFaultKind::Partition {
                         frames: rng.gen_range(1u64..8),
-                    },
+                    }
                 };
                 events.push(NetFaultEvent {
                     peer,
@@ -339,17 +324,6 @@ pub struct FaultConfig {
     /// When false, a detected death surfaces as an error instead of
     /// triggering quarantine + replay (the pre-recovery behaviour).
     pub recovery: bool,
-    /// Worker heartbeat cadence in milliseconds (TCP transport; carried in
-    /// the adoption handshake).
-    pub heartbeat_ms: u32,
-    /// Heartbeats a worker may miss before its connection is considered
-    /// stale and the suspect/resume machinery kicks in.
-    pub stale_after_beats: u32,
-    /// The omission-fault grace window: how long a severed or stale TCP
-    /// connection may spend in `Suspected` while the controller retries a
-    /// session resume before the worker is declared `Dead` and
-    /// quarantined.
-    pub reconnect_window: SimDuration,
 }
 
 impl Default for FaultConfig {
@@ -360,9 +334,6 @@ impl Default for FaultConfig {
             backoff_cap: SimDuration::from_millis(100),
             detection_timeout: SimDuration::from_millis(250),
             recovery: true,
-            heartbeat_ms: 100,
-            stale_after_beats: 10,
-            reconnect_window: SimDuration::from_millis(2000),
         }
     }
 }
@@ -371,8 +342,8 @@ impl Default for FaultConfig {
 ///
 /// `Healthy → Suspected → Dead` is the omission-fault ladder: a stale or
 /// severed connection makes a worker *Suspected* (no new CEs placed on it,
-/// session resume attempted), and only the expiry of the
-/// [`FaultConfig::reconnect_window`] grace period — or a hard crash signal —
+/// session resume attempted), and only the expiry of the transport's
+/// reconnect window (`TcpConfig::reconnect_window`) — or a hard crash signal —
 /// promotes it to *Dead* (quarantine + lineage replay). A Dead worker may
 /// re-enter via `rejoin`, which starts a new membership epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -43,10 +43,7 @@ pub mod telemetry;
 mod timeline;
 pub mod transport;
 
-pub use builder::{
-    validate_planner_inputs, DurabilityOptions, NetOptions, Observability, Runtime, RuntimeBuilder,
-    MAX_ENDPOINTS,
-};
+pub use builder::{validate_planner_inputs, Observability, Runtime, RuntimeBuilder, MAX_ENDPOINTS};
 pub use ce::{ArrayId, Ce, CeArg, CeId, CeKind};
 pub use coherence::{Coherence, Location, PurgeReport};
 pub use dag::{AddOutcome, DagIndex, DepDag};

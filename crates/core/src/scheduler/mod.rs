@@ -1431,16 +1431,4 @@ mod tests {
             "catch-up replays history without digests; live ops carry one"
         );
     }
-
-    #[test]
-    #[should_panic(expected = "diverged from the replicated prefix at index 1")]
-    fn prefix_validation_panics_on_divergence() {
-        let mut p = planner(2);
-        p.expect_prefix(vec![
-            PlannerOp::Alloc { bytes: 8 },
-            PlannerOp::Alloc { bytes: 16 },
-        ]);
-        p.alloc(8);
-        p.alloc(99);
-    }
 }

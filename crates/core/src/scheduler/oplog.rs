@@ -188,10 +188,6 @@ pub struct LoggedPlanner {
     planner: Planner,
     ops: Vec<PlannerOp>,
     sinks: Vec<Box<dyn OpSink>>,
-    /// Expected op prefix (standby takeover re-drive): each appended op
-    /// must equal the shipped op at the same index, proving the re-driven
-    /// run walks exactly the primary's footsteps.
-    expected: Vec<PlannerOp>,
 }
 
 impl LoggedPlanner {
@@ -201,19 +197,12 @@ impl LoggedPlanner {
             planner,
             ops: Vec::new(),
             sinks: Vec::new(),
-            expected: Vec::new(),
         }
     }
 
     /// Appends `op` to the log, applies it and fans it out to the sinks.
     pub fn append(&mut self, op: PlannerOp) -> Result<PlannerResp, PlanError> {
         let seq = self.ops.len() as u64;
-        if let Some(want) = self.expected.get(seq as usize) {
-            assert_eq!(
-                *want, op,
-                "op log diverged from the replicated prefix at index {seq}"
-            );
-        }
         self.ops.push(op);
         let op = self.ops.last().expect("just pushed");
         let resp = self.planner.apply(op);
@@ -232,12 +221,6 @@ impl LoggedPlanner {
             sink.append(seq as u64, op, None);
         }
         self.sinks.push(sink);
-    }
-
-    /// Installs the expected op prefix for a takeover re-drive: appends
-    /// at indices covered by `ops` panic unless they match bit-for-bit.
-    pub fn expect_prefix(&mut self, ops: Vec<PlannerOp>) {
-        self.expected = ops;
     }
 
     /// Every op appended so far, in order.
@@ -351,7 +334,6 @@ impl fmt::Debug for LoggedPlanner {
             .field("planner", &self.planner)
             .field("ops", &self.ops.len())
             .field("sinks", &self.sinks.len())
-            .field("expected", &self.expected.len())
             .finish()
     }
 }

@@ -1264,6 +1264,8 @@ impl Metrics {
             ("suspects".to_string(), Value::U64(self.suspects)),
             ("reinstates".to_string(), Value::U64(self.reinstates)),
             ("rejoins".to_string(), Value::U64(self.rejoins)),
+            ("joins".to_string(), Value::U64(self.joins)),
+            ("leaves".to_string(), Value::U64(self.leaves)),
             (
                 "kernels_by_worker".to_string(),
                 Value::Array(
@@ -2240,6 +2242,155 @@ mod tests {
         assert_eq!(text.matches("# TYPE grout_moved_bytes_total").count(), 1);
         assert!(text.contains("session=\"4\",policy=\"p2p\"} 7"));
         assert!(text.contains("session=\"5\",policy=\"p2p\"} 9"));
+    }
+
+    #[test]
+    fn every_sched_event_kind_reaches_json_and_snapshot() {
+        use crate::faults::SchedEvent as E;
+        let d = SimDuration::from_millis(1);
+        // (event, key in `to_json_value`, `kind` label in the snapshot)
+        let table = [
+            (
+                E::Fault {
+                    at_ce: 0,
+                    worker: None,
+                    kind: "kill-worker",
+                    epoch: 1,
+                },
+                "faults",
+                "fault",
+            ),
+            (
+                E::Retry {
+                    at_ce: 0,
+                    worker: 0,
+                    attempt: 1,
+                    backoff: d,
+                },
+                "retries",
+                "retry",
+            ),
+            (
+                E::Quarantine {
+                    worker: 0,
+                    at_ce: 0,
+                    lost: vec![],
+                    epoch: 1,
+                },
+                "quarantines",
+                "quarantine",
+            ),
+            (
+                E::Replay {
+                    dag_index: 0,
+                    epoch: 1,
+                },
+                "replays",
+                "replay",
+            ),
+            (
+                E::Reassign {
+                    dag_index: 0,
+                    from: 0,
+                    to: 1,
+                    epoch: 1,
+                },
+                "reassigns",
+                "reassign",
+            ),
+            (
+                E::TransferDropped {
+                    at_ce: 0,
+                    array: crate::ArrayId(0),
+                },
+                "transfers_dropped",
+                "transfer_dropped",
+            ),
+            (
+                E::TransferDelayed {
+                    at_ce: 0,
+                    array: crate::ArrayId(0),
+                    delay: d,
+                },
+                "transfers_delayed",
+                "transfer_delayed",
+            ),
+            (
+                E::TransferRedriven { at_ce: 0 },
+                "transfers_redriven",
+                "transfer_redriven",
+            ),
+            (
+                E::SpawnFailed { worker: 0 },
+                "spawn_failures",
+                "spawn_failed",
+            ),
+            (
+                E::Suspected {
+                    worker: 0,
+                    epoch: 1,
+                },
+                "suspects",
+                "suspected",
+            ),
+            (
+                E::Reinstated {
+                    worker: 0,
+                    epoch: 1,
+                },
+                "reinstates",
+                "reinstated",
+            ),
+            (
+                E::Rejoined {
+                    worker: 0,
+                    epoch: 2,
+                },
+                "rejoins",
+                "rejoined",
+            ),
+            (
+                E::Joined {
+                    worker: 2,
+                    epoch: 3,
+                },
+                "joins",
+                "joined",
+            ),
+            (
+                E::Departed {
+                    worker: 0,
+                    rebalanced: 1,
+                    epoch: 4,
+                },
+                "leaves",
+                "departed",
+            ),
+        ];
+        let mut m = Metrics::with_workers(2);
+        for (event, _, _) in &table {
+            m.record_event(event);
+        }
+        let json = m.to_json_value();
+        let snap = m.snapshot(&[]);
+        let events = snap
+            .families()
+            .iter()
+            .find(|f| f.name == "grout_sched_events_total")
+            .expect("event family");
+        for (event, key, kind) in &table {
+            assert_eq!(
+                json.get(key).and_then(Value::as_u64),
+                Some(1),
+                "{event:?}: json `{key}`"
+            );
+            let sample = events
+                .samples
+                .iter()
+                .find(|(labels, _)| labels.contains(&("kind".to_string(), kind.to_string())))
+                .unwrap_or_else(|| panic!("{event:?}: no snapshot kind `{kind}`"));
+            assert_eq!(sample.1, 1.0, "{event:?}: snapshot kind `{kind}`");
+        }
     }
 
     #[test]

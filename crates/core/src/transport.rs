@@ -34,7 +34,6 @@ use kernelc::{CompiledKernel, KernelArg, LaunchError};
 
 use crate::ce::ArrayId;
 use crate::dag::DagIndex;
-use crate::faults::{NetFaultKind, NetFaultPlan};
 use crate::local_runtime::{HostBuf, LocalArg};
 use crate::policy::LinkMatrix;
 use crate::scheduler::{PlannerConfig, PlannerOp};
@@ -1238,20 +1237,6 @@ pub struct ChannelTransport {
     peer_txs: Arc<Mutex<Vec<Sender<CtrlMsg>>>>,
     failures: Vec<(usize, String)>,
     wire: Vec<PeerWireStats>,
-    /// Deterministic network chaos (see [`NetFaultPlan`]). The channel
-    /// transport has no real wire, so injected omissions are *modeled*:
-    /// the reliable-session layer the TCP transport implements (sequence
-    /// numbers, ack-driven retransmit, resume-with-replay) would absorb
-    /// every one of them, so delivery stays exactly one in-order copy per
-    /// frame and only the wire counters change — which is precisely the
-    /// chaos-differential invariant (bit-identical state, visible resume
-    /// stats).
-    net_faults: NetFaultPlan,
-    /// Logical per-peer control-frame counters keying [`Self::net_faults`]
-    /// events. Separate from `wire.frames_sent`, which counts modeled
-    /// retransmits/duplicates too: fault injection points must not shift
-    /// when earlier faults fire.
-    ctrl_frames: Vec<u64>,
 }
 
 impl ChannelTransport {
@@ -1307,16 +1292,7 @@ impl ChannelTransport {
             peer_txs: txs,
             failures,
             wire: vec![PeerWireStats::default(); n],
-            net_faults: NetFaultPlan::none(),
-            ctrl_frames: vec![0; n],
         }
-    }
-
-    /// Installs a deterministic network-chaos plan (typically
-    /// [`NetFaultPlan::seeded`]). Must be set before traffic flows for the
-    /// frame counts to line up with the plan's injection points.
-    pub fn set_net_faults(&mut self, plan: NetFaultPlan) {
-        self.net_faults = plan;
     }
 
     /// Attribute a received message to its worker's wire counters.
@@ -1357,37 +1333,6 @@ impl Transport for ChannelTransport {
 
     fn send(&mut self, worker: usize, msg: CtrlMsg) -> Result<(), SendLost> {
         let bytes = ctrl_msg_bytes(&msg);
-        if !self.net_faults.is_empty() {
-            let frame = self.ctrl_frames.get(worker).copied().unwrap_or(0);
-            // Model the reliable session absorbing each injected fault:
-            // a dropped frame is retransmitted, a duplicate deduped by
-            // the receive cursor, a delay reordered back by sequencing,
-            // a sever/partition healed by resume-with-replay. Delivery
-            // below is unconditional and exactly-once either way.
-            for kind in self.net_faults.at(worker, frame) {
-                let Some(w) = self.wire.get_mut(worker) else {
-                    break;
-                };
-                match kind {
-                    NetFaultKind::DropFrame | NetFaultKind::DupFrame => {
-                        // One extra copy crosses the modeled wire
-                        // (retransmit of the lost frame / the duplicate).
-                        w.frames_sent += 1;
-                        w.bytes_sent += bytes;
-                    }
-                    NetFaultKind::DelayFrame { .. } => {}
-                    NetFaultKind::Sever | NetFaultKind::Partition { .. } => {
-                        w.resumes += 1;
-                        // Resume replays the unacked frame.
-                        w.frames_sent += 1;
-                        w.bytes_sent += bytes;
-                    }
-                }
-            }
-        }
-        if let Some(f) = self.ctrl_frames.get_mut(worker) {
-            *f += 1;
-        }
         if let Some(w) = self.wire.get_mut(worker) {
             w.frames_sent += 1;
             w.bytes_sent += bytes;
@@ -1466,7 +1411,6 @@ impl Transport for ChannelTransport {
                     join: Some(join),
                 });
                 self.wire.push(PeerWireStats::default());
-                self.ctrl_frames.push(0);
                 Ok(i)
             }
             Err(e) => {
@@ -1512,7 +1456,6 @@ impl Drop for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::NetFaultEvent;
 
     fn probe_echo(t: &mut ChannelTransport, worker: usize, token: u64) -> Vec<u8> {
         t.send(
@@ -1568,30 +1511,5 @@ mod tests {
         // Reconnecting a live worker is a no-op that reports success.
         assert!(t.reconnect(0));
         assert_eq!(probe_echo(&mut t, 0, 8), vec![0xAB; 8]);
-    }
-
-    #[test]
-    fn modeled_net_faults_leave_delivery_exact_and_count_resumes() {
-        let mut t = ChannelTransport::new(1);
-        t.set_net_faults(NetFaultPlan::with_events(vec![
-            NetFaultEvent {
-                peer: 0,
-                at_frame: 0,
-                kind: NetFaultKind::DropFrame,
-            },
-            NetFaultEvent {
-                peer: 0,
-                at_frame: 1,
-                kind: NetFaultKind::Sever,
-            },
-        ]));
-        // Both faulted frames still arrive exactly once, in order.
-        assert_eq!(probe_echo(&mut t, 0, 1), vec![0xAB; 8]);
-        assert_eq!(probe_echo(&mut t, 0, 2), vec![0xAB; 8]);
-        assert_eq!(probe_echo(&mut t, 0, 3), vec![0xAB; 8]);
-        let stats = &t.wire_stats()[0];
-        assert_eq!(stats.resumes, 1, "the sever models one session resume");
-        // 3 logical frames + 1 modeled retransmit + 1 modeled replay.
-        assert_eq!(stats.frames_sent, 5);
     }
 }

@@ -54,7 +54,7 @@ use grout::net::http::{HttpServer, Introspect};
 use grout::net::oplog::JournalWriter;
 use grout::net::wire::{self, ClientMsg, CtldMsg};
 use grout::polyglot::run_script;
-use grout::{ChromeTracer, Polyglot, Shared, TcpConfig, TcpTransport};
+use grout::{parse_tcp_workers, ChromeTracer, Polyglot, Shared, TcpConfig, TcpTransport};
 use serde_json::Value;
 
 /// Where the fleet lives.
@@ -135,19 +135,8 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
             }
             "--workers" => {
                 let spec = args.next().ok_or("--workers needs tcp:<addr>,...")?;
-                let list = spec
-                    .strip_prefix("tcp:")
-                    .ok_or("--workers needs tcp:<addr>,...")?;
-                let addrs: Vec<String> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(String::from)
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--workers tcp: needs at least one address".into());
-                }
-                fleet = Fleet::Tcp(addrs);
+                let addrs = parse_tcp_workers(&spec).ok_or("--workers needs tcp:<addr>,...")?;
+                fleet = Fleet::Tcp(addrs?);
             }
             "--max-sessions" => admission.max_sessions = num("--max-sessions", args.next())?,
             "--max-resident-bytes" => {

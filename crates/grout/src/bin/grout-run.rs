@@ -21,6 +21,7 @@
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use grout::core::{ChromeTracer, OpSink, PlannerOp, Priority, Runtime, Shared};
 use grout::net::oplog::{standby_serve, StandbyOutcome};
@@ -28,7 +29,8 @@ use grout::net::wire::CtldMsg;
 use grout::polyglot::run_script;
 use grout::Polyglot;
 use grout::{
-    apply_durability, ClientOutcome, CtldClient, DurabilityOptions, NetOptions, TcpExt, WorkerSpec,
+    apply_durability, parse_tcp_workers, ClientOutcome, CtldClient, DurabilityOptions, TcpConfig,
+    TcpExt, WorkerSpec,
 };
 
 /// Where the workers live.
@@ -49,9 +51,9 @@ struct Cli {
     metrics_out: Option<PathBuf>,
     /// Print the per-peer wire summary table at end of run.
     stats: bool,
-    /// Grouped net/liveness knobs (heartbeat cadence, staleness, resume
-    /// window) — the `net:` flag block.
-    net: NetOptions,
+    /// TCP transport knobs (heartbeat cadence, staleness, resume window)
+    /// — the `net:` flag block; in-process workers send no heartbeat.
+    tcp: TcpConfig,
     /// Grouped op-log durability knobs (journal path, ship-log address) —
     /// the `durability:` flag block.
     durability: DurabilityOptions,
@@ -91,7 +93,8 @@ const USAGE: &str = "usage: grout-run <script.gs> | -e '<script>'
   ctld client: --connect <addr>        attach as a session on a running grout-ctld
                --priority low|normal|high   admission/fair-share class
                --declare-bytes N       declared working set for admission
-  net:         --heartbeat-ms N        worker heartbeat cadence
+  net (tcp: workers only; in-process workers send no heartbeat):
+               --heartbeat-ms N        worker heartbeat cadence
                --stale-after N         missed beats before a worker is suspected
                --reconnect-window-ms N resume grace before quarantine
   durability:  --journal <ops.grjl>    stream planner ops to a crash-recovery journal
@@ -109,7 +112,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
     let mut trace_out = None;
     let mut metrics_out = None;
     let mut stats = false;
-    let mut net = NetOptions::default();
+    let mut tcp = TcpConfig::default();
     let mut durability = DurabilityOptions::default();
     let mut standby = None;
     let mut die_after_ops = None;
@@ -178,10 +181,14 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
                     .parse()
                     .map_err(|_| format!("--declare-bytes needs a byte count, got `{n}`"))?;
             }
-            "--heartbeat-ms" => net.heartbeat_ms = positive("--heartbeat-ms", args.next())?,
-            "--stale-after" => net.stale_after_beats = positive("--stale-after", args.next())?,
+            "--heartbeat-ms" => {
+                let ms: u32 = positive("--heartbeat-ms", args.next())?;
+                tcp.heartbeat = Duration::from_millis(ms.into())
+            }
+            "--stale-after" => tcp.stale_after_beats = positive("--stale-after", args.next())?,
             "--reconnect-window-ms" => {
-                net.reconnect_window_ms = positive("--reconnect-window-ms", args.next())?
+                tcp.reconnect_window =
+                    Duration::from_millis(positive("--reconnect-window-ms", args.next())?)
             }
             "-e" => {
                 let inline = args.next().ok_or("-e needs an inline script")?;
@@ -206,7 +213,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
         trace_out,
         metrics_out,
         stats,
-        net,
+        tcp,
         durability,
         standby,
         die_after_ops,
@@ -217,17 +224,8 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Cli>, String> 
 }
 
 fn parse_workers(spec: &str) -> Result<Workers, String> {
-    if let Some(list) = spec.strip_prefix("tcp:") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|a| !a.is_empty())
-            .map(String::from)
-            .collect();
-        if addrs.is_empty() {
-            return Err("--workers tcp: needs at least one address".into());
-        }
-        return Ok(Workers::Tcp(addrs));
+    if let Some(addrs) = parse_tcp_workers(spec) {
+        return addrs.map(Workers::Tcp);
     }
     let n: usize = spec.parse().map_err(|_| {
         format!("--workers needs a positive integer or tcp:<addr>,..., got `{spec}`")
@@ -317,32 +315,25 @@ fn run_connect(cli: &Cli) -> Result<(), String> {
 /// The normal (primary) path: build the deployment, attach the op-log
 /// sinks, drive the script, emit artifacts.
 fn run_exec(cli: &Cli) -> Result<(), String> {
-    // One grouped knob surface for both deployments: NetOptions tunes the
-    // planner's liveness config and the TCP socket layer alike, and the
-    // DurabilityOptions ride the builder to whichever front-end attaches
-    // the op-log sinks.
-    let builder = Runtime::builder()
-        .net(cli.net.clone())
-        .durability(cli.durability.clone());
-    let (mut pg, n, transport) = match &cli.workers {
+    let (mut rt, n, transport) = match &cli.workers {
         Workers::Threads(n) => {
-            let mut rt = builder
+            let rt = Runtime::builder()
                 .workers(*n)
                 .build_local()
                 .map_err(|e| e.to_string())?;
-            apply_durability(&mut rt, &cli.durability).map_err(|e| e.to_string())?;
-            (Polyglot::with_runtime(rt), *n, "threads")
+            (rt, *n, "threads")
         }
         Workers::Tcp(addrs) => {
-            // The TCP builder applies the durability options itself.
-            let n = addrs.len();
-            let rt = builder
+            let rt = Runtime::builder()
                 .tcp(addrs.iter().cloned().map(WorkerSpec::Connect).collect())
+                .config(cli.tcp.clone())
                 .build()
                 .map_err(|e| e.to_string())?;
-            (Polyglot::with_runtime(rt.into_inner()), n, "tcp")
+            (rt.into_inner(), addrs.len(), "tcp")
         }
     };
+    apply_durability(&mut rt, &cli.durability).map_err(|e| e.to_string())?;
+    let mut pg = Polyglot::with_runtime(rt);
     // Added after the journal/ship sinks so the fatal op is durable and
     // acknowledged before the process dies.
     if let Some(ops) = cli.die_after_ops {
@@ -386,12 +377,12 @@ fn run_exec(cli: &Cli) -> Result<(), String> {
 }
 
 /// The hot-standby path: tail the primary's op log into a replica
-/// planner, acking each op with the replica's state digest. If the
-/// primary finishes cleanly, exit without a word on stdout; if it dies,
-/// take over — adopt the worker fleet (the workerds re-accept a new
-/// controller) and re-drive the script from the top. Determinism makes
-/// the re-driven run bit-identical to what the primary would have
-/// produced.
+/// planner, acking each op with the replica's rolling
+/// `Planner::op_digest` (not its state digest). If the primary finishes
+/// cleanly, exit without a word on stdout; if it dies, take over — adopt
+/// the worker fleet (the workerds re-accept a new controller) and
+/// re-drive the script from the top on a fresh planner. Nothing checks
+/// the re-driven run's ops against the replica's log.
 fn run_standby(cli: &Cli) -> Result<(), String> {
     let addr = cli.standby.as_deref().expect("checked by run()");
     let listener =
@@ -457,5 +448,79 @@ fn print_wire_stats(metrics: &grout::core::Metrics) {
             s.hb_rtt.percentile_ns(0.99),
             s.clock_offset_ns
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Cli {
+        let args = args.iter().map(|a| a.to_string());
+        parse(args).expect("valid flags").expect("not --help")
+    }
+
+    #[test]
+    fn liveness_flags_write_the_tcp_config() {
+        let c = cli(&[
+            "-e",
+            "print(1)",
+            "--workers",
+            "tcp:127.0.0.1:1, 127.0.0.1:2",
+            "--heartbeat-ms",
+            "20",
+            "--stale-after",
+            "3",
+            "--reconnect-window-ms",
+            "15000",
+        ]);
+        assert!(matches!(&c.workers, Workers::Tcp(a) if a == &["127.0.0.1:1", "127.0.0.1:2"]));
+        assert_eq!(c.tcp.heartbeat, Duration::from_millis(20));
+        assert_eq!(c.tcp.stale_after_beats, 3);
+        assert_eq!(c.tcp.reconnect_window, Duration::from_millis(15_000));
+        // Every other transport setting keeps its default.
+        let d = TcpConfig::default();
+        assert_eq!(c.tcp.probe_bytes, d.probe_bytes);
+        assert_eq!(c.tcp.probe_timeout, d.probe_timeout);
+        assert_eq!(c.tcp.spawn_timeout, d.spawn_timeout);
+        assert!(c.tcp.net_faults.is_empty());
+
+        let d = cli(&["-e", "print(1)"]).tcp;
+        assert_eq!(d.heartbeat, TcpConfig::default().heartbeat);
+        assert_eq!(d.stale_after_beats, TcpConfig::default().stale_after_beats);
+        assert_eq!(d.reconnect_window, TcpConfig::default().reconnect_window);
+    }
+
+    #[test]
+    fn workers_flag_messages_are_unchanged() {
+        let err = |args: &[&str]| {
+            let args = args.iter().map(|a| a.to_string());
+            parse(args).err().expect("rejected")
+        };
+        assert_eq!(
+            err(&["--workers", "tcp: , "]),
+            "--workers tcp: needs at least one address"
+        );
+        assert_eq!(
+            err(&["--workers", "x"]),
+            "--workers needs a positive integer or tcp:<addr>,..., got `x`"
+        );
+        assert_eq!(
+            err(&["--workers", "0"]),
+            "--workers needs at least one worker"
+        );
+        assert_eq!(
+            err(&["--heartbeat-ms", "0"]),
+            "--heartbeat-ms needs a positive integer, got `0`"
+        );
+        // The handshake carries the cadence as a u32 of milliseconds.
+        assert_eq!(
+            err(&["--heartbeat-ms", "4294967296"]),
+            "--heartbeat-ms needs a positive integer, got `4294967296`"
+        );
+        assert!(matches!(
+            cli(&["-e", "1", "--workers", "3"]).workers,
+            Workers::Threads(3)
+        ));
     }
 }

@@ -28,17 +28,33 @@ pub use uvm_sim;
 pub use grout_core::{
     replay_closure, AccessMode, AccessPattern, AdmissionConfig, AdmissionController,
     AdmissionDecision, AdmissionError, ArrayId, BatchStats, Ce, CeArg, CeId, CeKind, ChromeTracer,
-    Coherence, DevicePolicy, DurabilityOptions, EventLog, ExplorationLevel, FailureDetector,
-    FairShare, FaultConfig, FaultEvent, FaultKind, FaultPlan, FleetMux, HistorySample, KernelCost,
-    Lane, LatencyStat, LinkMatrix, LocalArg, LocalConfig, LocalRuntime, Location, LogLevel,
-    MemAdvise, MetricFamily, MetricKind, Metrics, MetricsHistory, MetricsSnapshot, NetOptions,
-    NodeScheduler, Observability, PolicyKind, Priority, PurgeReport, Recorder, Regime, Runtime,
-    RuntimeBuilder, SchedEvent, SessionId, SessionTransport, Shared, SharedPlacement, SimConfig,
-    SimRuntime, SimTime, Telemetry,
+    Coherence, DevicePolicy, EventLog, ExplorationLevel, FailureDetector, FairShare, FaultConfig,
+    FaultEvent, FaultKind, FaultPlan, FleetMux, HistorySample, KernelCost, Lane, LatencyStat,
+    LinkMatrix, LocalArg, LocalConfig, LocalRuntime, Location, LogLevel, MemAdvise, MetricFamily,
+    MetricKind, Metrics, MetricsHistory, MetricsSnapshot, NodeScheduler, Observability, PolicyKind,
+    Priority, PurgeReport, Recorder, Regime, Runtime, RuntimeBuilder, SchedEvent, SessionId,
+    SessionTransport, Shared, SharedPlacement, SimConfig, SimRuntime, SimTime, Telemetry,
 };
 pub use grout_net::{
     apply_durability, http_get, serve_shutdown, spawn_workerd, spawn_workerd_at, ClientOutcome,
-    CtldClient, DistBuilder, DistError, DistRuntime, HttpServer, Introspect, TcpConfig, TcpExt,
-    TcpTransport, WorkerSpec,
+    CtldClient, DistBuilder, DistError, DistRuntime, DurabilityOptions, HttpServer, Introspect,
+    TcpConfig, TcpExt, TcpTransport, WorkerSpec,
 };
 pub use grout_polyglot::{Language, Polyglot, Value};
+
+/// Parses the address list of a `--workers tcp:<addr>,<addr>,...` flag,
+/// shared by `grout-run` and `grout-ctld`. `None` when `spec` does not
+/// start with `tcp:`.
+pub fn parse_tcp_workers(spec: &str) -> Option<Result<Vec<String>, String>> {
+    let list = spec.strip_prefix("tcp:")?;
+    let addrs: Vec<String> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .map(String::from)
+        .collect();
+    if addrs.is_empty() {
+        return Some(Err("--workers tcp: needs at least one address".into()));
+    }
+    Some(Ok(addrs))
+}

@@ -2,14 +2,21 @@
 //! [`DistRuntime`].
 //!
 //! ```no_run
+//! use std::time::Duration;
+//!
 //! use grout_core::Runtime;
-//! use grout_net::{TcpExt, WorkerSpec};
+//! use grout_net::{TcpConfig, TcpExt, WorkerSpec};
 //!
 //! let mut rt = Runtime::builder()
 //!     .tcp(vec![
 //!         WorkerSpec::Connect("127.0.0.1:7401".into()),
 //!         WorkerSpec::Connect("127.0.0.1:7402".into()),
 //!     ])
+//!     .config(TcpConfig {
+//!         heartbeat: Duration::from_millis(50),
+//!         stale_after_beats: 4,
+//!         ..TcpConfig::default()
+//!     })
 //!     .build()
 //!     .expect("workers reachable");
 //! let a = rt.alloc_f32(1024);
@@ -20,15 +27,26 @@
 //! `grout-workerd` to connect to, or a binary to spawn (the spec waits for
 //! its `LISTENING <addr>` announcement on stdout). The builder's knob
 //! surface (policy, faults, telemetry, ...) carries over unchanged; only
-//! the transport differs from `build_local()`.
+//! the transport differs from `build_local()`, and every transport
+//! setting comes from one [`TcpConfig`] ([`DistBuilder::config`]).
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 
-use grout_core::{DurabilityOptions, LocalError, LocalRuntime, RuntimeBuilder};
+use grout_core::{LocalError, LocalRuntime, RuntimeBuilder};
 
 use crate::oplog::{JournalSink, ShipSink};
 use crate::transport::{TcpConfig, TcpTransport};
+
+/// Where the planner's op log goes: the sinks [`apply_durability`]
+/// attaches to a built runtime.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DurabilityOptions {
+    /// Stream every planner op to this crash-recovery journal file.
+    pub journal: Option<std::path::PathBuf>,
+    /// Ship every planner op to a hot-standby controller at this address.
+    pub ship_log: Option<String>,
+}
 
 /// One worker endpoint of a distributed deployment.
 #[derive(Debug, Clone)]
@@ -200,35 +218,23 @@ impl std::ops::DerefMut for DistRuntime {
 pub struct DistBuilder {
     builder: RuntimeBuilder,
     specs: Vec<WorkerSpec>,
+    cfg: TcpConfig,
 }
 
 impl DistBuilder {
+    /// Every transport setting of this deployment: heartbeat, staleness,
+    /// resume window, probe sizing, spawn timeout and the network-chaos
+    /// plan. Defaults to [`TcpConfig::default`].
+    pub fn config(mut self, cfg: TcpConfig) -> Self {
+        self.cfg = cfg;
+        self
+    }
+
     /// Spawn/connect all workers, run the handshake + bandwidth-probe
-    /// round, and build the runtime over the resulting mesh.
-    ///
-    /// The transport knobs derive from the builder's grouped
-    /// [`NetOptions`](grout_core::NetOptions) (falling back to its
-    /// [`fault_config`](RuntimeBuilder::fault_config), so one surface
-    /// tunes the in-process and TCP deployments alike), the
-    /// [`net_faults`](RuntimeBuilder::net_faults) chaos plan carries over
-    /// to the socket layer, and the builder's
-    /// [`durability`](RuntimeBuilder::durability) options are applied to
-    /// the finished runtime (see [`apply_durability`]).
+    /// round, and build the runtime over the resulting mesh. Op-log
+    /// sinks are the caller's: see [`apply_durability`].
     pub fn build(self) -> Result<DistRuntime, DistError> {
-        let durability = self.builder.durability_ref().clone();
-        let mut cfg = TcpConfig::from_fault_config(self.builder.fault_config_ref());
-        cfg.net_faults = self.builder.net_faults_ref().clone();
-        if let Some(net) = self.builder.net_options_ref() {
-            if let Some(b) = net.probe_bytes {
-                cfg.probe_bytes = b;
-            }
-            if let Some(ms) = net.probe_timeout_ms {
-                cfg.probe_timeout = std::time::Duration::from_millis(ms);
-            }
-            if let Some(ms) = net.spawn_timeout_ms {
-                cfg.spawn_timeout = std::time::Duration::from_millis(ms);
-            }
-        }
+        let cfg = self.cfg;
         let mut addrs = Vec::with_capacity(self.specs.len());
         let mut children: Vec<Option<Child>> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
@@ -247,8 +253,7 @@ impl DistBuilder {
         let transport = TcpTransport::connect(&addrs, children, &cfg);
         let pids = transport.child_pids();
         let builder = self.builder.workers(addrs.len());
-        let mut inner = builder.build_with_transport(Box::new(transport))?;
-        apply_durability(&mut inner, &durability)?;
+        let inner = builder.build_with_transport(Box::new(transport))?;
         Ok(DistRuntime {
             inner,
             pids,
@@ -272,17 +277,15 @@ impl TcpExt for RuntimeBuilder {
         DistBuilder {
             builder: self,
             specs,
+            cfg: TcpConfig::default(),
         }
     }
 }
 
-/// Attaches the op-log durability sinks a
-/// [`DurabilityOptions`](grout_core::DurabilityOptions) asks for: a
-/// [`JournalSink`] streaming every planner op to the journal file, a
-/// [`ShipSink`] replicating it to the hot standby. [`DistBuilder::build`]
-/// calls this for TCP deployments; in-process front-ends (e.g.
-/// `grout-run --workers N`) call it on their [`LocalRuntime`] so one
-/// grouped option struct covers both.
+/// Attaches the op-log durability sinks a [`DurabilityOptions`] asks
+/// for: a [`JournalSink`] streaming every planner op to the journal file,
+/// a [`ShipSink`] replicating it to the hot standby. Every front end calls
+/// this on its built runtime, in-process or TCP alike.
 pub fn apply_durability(rt: &mut LocalRuntime, opts: &DurabilityOptions) -> Result<(), DistError> {
     if opts.journal.is_none() && opts.ship_log.is_none() {
         return Ok(());

@@ -44,8 +44,8 @@ mod worker;
 
 pub use ctld::{accept_client, client_connect, read_session_journal, ClientOutcome, CtldClient};
 pub use dist::{
-    apply_durability, spawn_workerd, spawn_workerd_at, DistBuilder, DistError, DistRuntime, TcpExt,
-    WorkerSpec,
+    apply_durability, spawn_workerd, spawn_workerd_at, DistBuilder, DistError, DistRuntime,
+    DurabilityOptions, TcpExt, WorkerSpec,
 };
 pub use http::{http_get, HttpServer, Introspect};
 pub use oplog::{

@@ -57,8 +57,10 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"GRJL";
 /// is taken over a DAG that keeps fewer readers per array and a smaller
 /// frontier for the same ops, so a v2 footer would not verify against
 /// this build's replay. v4: every frame carries its session id, so one
-/// file holds many sessions' logs.
-pub const JOURNAL_VERSION: u16 = 4;
+/// file holds many sessions' logs. v5: the header's planner config no
+/// longer carries the v2 partition-tolerance knobs (they are transport
+/// settings, not planner state).
+pub const JOURNAL_VERSION: u16 = 5;
 
 const TAG_HEADER: u8 = 0x00;
 const TAG_OP: u8 = 0x01;
@@ -781,11 +783,13 @@ mod tests {
 
         // The preamble is strict: any other version (the previous format
         // included) or magic is a typed reject naming what was found.
+        let prev = JOURNAL_VERSION - 1;
         let mut old = raw.clone();
-        old[4..6].copy_from_slice(&3u16.to_le_bytes());
+        old[4..6].copy_from_slice(&prev.to_le_bytes());
         match parse_journal(&old) {
             Err(WireError::Handshake(msg)) => assert!(
-                msg.contains("version 3") && msg.contains(&format!("reads {JOURNAL_VERSION}")),
+                msg.contains(&format!("version {prev}"))
+                    && msg.contains(&format!("reads {JOURNAL_VERSION}")),
                 "{msg}"
             ),
             other => panic!("expected a version reject, got {other:?}"),

@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use grout_core::{
-    monotonic_ns, ClockSync, CtrlMsg, FaultConfig, LatencyStat, LinkMatrix, Liveness, NetFaultKind,
+    monotonic_ns, ClockSync, CtrlMsg, LatencyStat, LinkMatrix, Liveness, NetFaultKind,
     NetFaultPlan, PeerWireStats, SendLost, Transport, TransportRecvError, WorkerMsg,
 };
 
@@ -89,7 +89,9 @@ const RESUME_ACK_TIMEOUT: Duration = Duration::from_millis(300);
 /// letting a wedged peer stall the loop).
 const DRAIN_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Transport knobs (cadence, staleness, resume window, probe sizing).
+/// Every setting of the TCP transport, in one place: liveness (cadence,
+/// staleness, resume window), startup probe sizing, the spawn timeout and
+/// the network-chaos plan. In-process deployments have none of these.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Worker heartbeat cadence (carried in the handshake).
@@ -108,10 +110,11 @@ pub struct TcpConfig {
     /// How long to wait for a spawned `grout-workerd` to announce its
     /// listen address.
     pub spawn_timeout: Duration,
-    /// Deterministic network chaos to inject below the session layer
-    /// (only [`NetFaultKind::Sever`] and [`NetFaultKind::Partition`] act
-    /// on a real socket; drop/duplicate/delay are modeled by the
-    /// in-process transport).
+    /// Deterministic network chaos: each [`NetFaultKind::Sever`] or
+    /// [`NetFaultKind::Partition`] cuts the real socket under the session
+    /// layer, which must resume it. Lost, duplicated and reordered frames
+    /// are checked by the `SendBuffer`/`RecvCursor` property tests in
+    /// [`crate::session`].
     pub net_faults: NetFaultPlan,
 }
 
@@ -125,20 +128,6 @@ impl Default for TcpConfig {
             probe_timeout: Duration::from_secs(5),
             spawn_timeout: Duration::from_secs(10),
             net_faults: NetFaultPlan::none(),
-        }
-    }
-}
-
-impl TcpConfig {
-    /// Derives the timing knobs from the planner's [`FaultConfig`] so
-    /// `--heartbeat-ms` / `--stale-after` / `--reconnect-window-ms` tune
-    /// one surface for both deployments.
-    pub fn from_fault_config(fc: &FaultConfig) -> Self {
-        TcpConfig {
-            heartbeat: Duration::from_millis(fc.heartbeat_ms.max(1) as u64),
-            stale_after_beats: fc.stale_after_beats.max(1),
-            reconnect_window: Duration::from_nanos(fc.reconnect_window.0),
-            ..TcpConfig::default()
         }
     }
 }
@@ -1003,12 +992,6 @@ impl Transport for TcpTransport {
                     severed = true;
                     partition_frames = Some(frames);
                 }
-                // Drop/duplicate/delay need a lossy medium to model; TCP
-                // itself is lossless, so only the in-process transport
-                // injects them.
-                NetFaultKind::DropFrame
-                | NetFaultKind::DupFrame
-                | NetFaultKind::DelayFrame { .. } => {}
             }
         }
         if severed && self.conns[worker].resuming.is_none() {

@@ -99,7 +99,9 @@ pub const MAGIC: [u8; 4] = *b"GRNT";
 /// has v6's frame bytes; what changed is the planner state a `ShipAck`
 /// digest is taken over (the DAG keeps fewer readers per array and a
 /// smaller frontier for the same ops), so a v6 standby would look diverged.
-pub const WIRE_VERSION: u16 = 7;
+/// v8: the serialized `FaultConfig` (in `ShipInit`) lost the three TCP
+/// liveness knobs, which now live only in the transport's config.
+pub const WIRE_VERSION: u16 = 8;
 
 /// Worker→controller clock-sync ping (`t1`), and controller→worker pong
 /// (`t1, t2`) — the tag is reused across the two directions' tag spaces.
@@ -840,10 +842,7 @@ wire! {
         backoff_base,
         backoff_cap,
         detection_timeout,
-        recovery,
-        heartbeat_ms,
-        stale_after_beats,
-        reconnect_window
+        recovery
     }
 
     enum Hello {

@@ -85,7 +85,7 @@ fi
 echo "==> chaos --kill-process (SIGKILL a live grout-workerd; lineage replay)"
 timeout 120 cargo run --release -q -p grout-bench --bin chaos -- --kill-process
 
-echo "==> chaos --net-seeds (seeded omission faults; bit-identical, zero quarantines)"
+echo "==> chaos --net-seeds (seeded sever/partition plans over TCP to spawned workerd pairs; bit-identical, zero quarantines)"
 timeout 300 cargo run --release -q -p grout-bench --bin chaos -- --net-seeds 8
 
 echo "==> chaos --net-sever (sever a live TCP session mid-chain; session resume)"

@@ -492,7 +492,7 @@ const ALONE_ENV: &str = "GROUT_TEST_ALONE_IN_PROCESS";
 fn controller_multiplexes_64_workers_over_one_io_thread() {
     use std::sync::atomic::AtomicBool;
 
-    use grout::core::NetOptions;
+    use grout::TcpConfig;
 
     if std::env::var_os(ALONE_ENV).is_none() {
         let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
@@ -529,13 +529,13 @@ fn controller_multiplexes_64_workers_over_one_io_thread() {
     let before = thread_count();
     let mut dist = Runtime::builder()
         .policy(PolicyKind::RoundRobin)
-        .net(NetOptions {
+        .tcp(addrs.into_iter().map(WorkerSpec::Connect).collect())
+        .config(TcpConfig {
             // Tiny ballast: 64 ctrl links + 2016 peer pairs must probe in
             // test time; the smoke test cares about threads, not numbers.
-            probe_bytes: Some(1024),
-            ..NetOptions::default()
+            probe_bytes: 1024,
+            ..TcpConfig::default()
         })
-        .tcp(addrs.into_iter().map(WorkerSpec::Connect).collect())
         .build()
         .expect("64-worker mesh comes up");
     // Warmup DAG over the full mesh: adoption, P2P dials, heartbeats and
