@@ -31,8 +31,7 @@ fn populated_metrics() -> Metrics {
     m.controller_send_bytes = 48 << 20;
     m.p2p_bytes = 16 << 20;
     m.staged_bytes = 4 << 20;
-    m.faults = 12;
-    m.retries = 3;
+    m.events[..2].copy_from_slice(&[12, 3]); // faults, retries
     m.kernels_by_worker = vec![400, 380, 410, 395];
     m.busy_ns_by_worker = vec![9e8 as u64, 8e8 as u64, 95e7 as u64, 91e7 as u64];
     m.wire = (0..4)

@@ -6,9 +6,9 @@
 //!
 //! - `--trace-out` writes a Chrome `trace_event` JSON file (load it at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`),
-//! - `--metrics-out` writes a flat JSON object of labeled [`Metrics`]
-//!   dumps (latency stats, per-policy bytes moved, fault counters,
-//!   per-worker kernel occupancy).
+//! - `--metrics-out` writes one [`MetricsSnapshot`](grout::core::MetricsSnapshot)
+//!   as JSON, keyed by family name, with every labelled run's samples
+//!   tagged `run="<label>"`.
 
 use grout::core::{ChromeTracer, Metrics, Shared, SimConfig, SimRuntime};
 use grout::workloads::SimWorkload;
@@ -52,20 +52,18 @@ impl ArtifactArgs {
         }
     }
 
-    /// Writes labeled metrics dumps if `--metrics-out` was given. Each
-    /// `(label, metrics)` pair becomes one top-level key of the JSON
-    /// object.
+    /// Writes the labeled runs' metrics as one snapshot if `--metrics-out`
+    /// was given; each `(label, metrics)` pair's samples carry
+    /// `run="<label>"`.
     pub fn write_metrics(&self, labeled: &[(&str, &Metrics)]) {
         let Some(path) = &self.metrics_out else {
             return;
         };
-        let obj = serde_json::Value::Object(
-            labeled
-                .iter()
-                .map(|(label, m)| (label.to_string(), m.to_json_value()))
-                .collect(),
-        );
-        let body = serde_json::to_string_pretty(&obj).expect("render metrics artifact");
+        let mut snap = grout::core::MetricsSnapshot::new();
+        for (label, m) in labeled {
+            snap.merge(m.snapshot(&[("run", label)]));
+        }
+        let body = serde_json::to_string_pretty(&snap.to_json()).expect("render metrics artifact");
         std::fs::write(path, body).expect("write metrics artifact");
         eprintln!(
             "metrics: wrote {} section(s) to {}",
@@ -139,6 +137,33 @@ mod tests {
         );
         assert!(art.wanted());
         assert!(!ArtifactArgs::parse(&strings(&["bin", "cg"])).wanted());
+    }
+
+    #[test]
+    fn write_metrics_merges_labelled_runs_into_one_snapshot() {
+        use serde_json::Value;
+        let path = std::env::temp_dir().join(format!("grout-metrics-{}.json", std::process::id()));
+        let art = ArtifactArgs {
+            trace_out: None,
+            metrics_out: Some(path.clone()),
+        };
+        art.write_metrics(&[
+            ("one", &Metrics::with_workers(1)),
+            ("two", &Metrics::with_workers(2)),
+        ]);
+        let body = std::fs::read_to_string(&path).expect("artifact written");
+        std::fs::remove_file(&path).expect("remove artifact");
+        let dump = serde_json::from_str(&body).expect("artifact parses");
+        let samples = dump
+            .get("grout_worker_kernels_total")
+            .and_then(|f| f.get("samples"))
+            .and_then(Value::as_array)
+            .expect("one family for both runs");
+        let runs: Vec<&str> = samples
+            .iter()
+            .filter_map(|s| s.get("labels")?.get("run")?.as_str())
+            .collect();
+        assert_eq!(runs, ["one", "two", "two"]);
     }
 
     #[test]

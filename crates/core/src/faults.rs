@@ -196,11 +196,11 @@ pub enum NetFaultKind {
     /// and resumes the session, replaying unacked frames.
     Sever,
     /// The connection is torn down and re-dials are suppressed for
-    /// `frames` heartbeat periods; the resume machinery absorbs all
+    /// `beats` heartbeat periods; the resume machinery absorbs all
     /// traffic sent in the window once the partition heals.
     Partition {
         /// Window length, in heartbeat periods.
-        frames: u64,
+        beats: u64,
     },
 }
 
@@ -260,14 +260,14 @@ impl NetFaultPlan {
         }])
     }
 
-    /// Seeded mixed plan: for each of `peers` workers, each of the first
-    /// `frames` control frames draws a sever or a partition with
+    /// Seeded mixed plan: for each worker `peer`, each of its first
+    /// `frames[peer]` control frames draws a sever or a partition with
     /// probability `rate`.
     /// Deterministic per seed via [`desim::seeded_rng`].
-    pub fn seeded(seed: u64, peers: usize, frames: u64, rate: f64) -> Self {
+    pub fn seeded(seed: u64, frames: &[u64], rate: f64) -> Self {
         let mut rng = desim::seeded_rng(seed);
         let mut events = Vec::new();
-        for peer in 0..peers {
+        for (peer, &frames) in frames.iter().enumerate() {
             for at_frame in 0..frames {
                 if !rng.gen_bool(rate) {
                     continue;
@@ -276,7 +276,7 @@ impl NetFaultPlan {
                     NetFaultKind::Sever
                 } else {
                     NetFaultKind::Partition {
-                        frames: rng.gen_range(1u64..8),
+                        beats: rng.gen_range(1u64..8),
                     }
                 };
                 events.push(NetFaultEvent {
@@ -638,6 +638,53 @@ pub enum SchedEvent {
     },
 }
 
+impl SchedEvent {
+    /// The one name of every event kind, indexed by [`SchedEvent::index`]:
+    /// the Chrome instant name and the `kind` label of
+    /// `grout_sched_events_total` both read it.
+    pub const NAMES: [&'static str; 14] = [
+        "fault",
+        "retry",
+        "quarantine",
+        "replay",
+        "reassign",
+        "transfer_dropped",
+        "transfer_delayed",
+        "transfer_redriven",
+        "spawn_failed",
+        "suspected",
+        "reinstated",
+        "rejoined",
+        "joined",
+        "departed",
+    ];
+
+    /// This event's kind as a position in [`SchedEvent::NAMES`].
+    pub fn index(&self) -> usize {
+        match self {
+            SchedEvent::Fault { .. } => 0,
+            SchedEvent::Retry { .. } => 1,
+            SchedEvent::Quarantine { .. } => 2,
+            SchedEvent::Replay { .. } => 3,
+            SchedEvent::Reassign { .. } => 4,
+            SchedEvent::TransferDropped { .. } => 5,
+            SchedEvent::TransferDelayed { .. } => 6,
+            SchedEvent::TransferRedriven { .. } => 7,
+            SchedEvent::SpawnFailed { .. } => 8,
+            SchedEvent::Suspected { .. } => 9,
+            SchedEvent::Reinstated { .. } => 10,
+            SchedEvent::Rejoined { .. } => 11,
+            SchedEvent::Joined { .. } => 12,
+            SchedEvent::Departed { .. } => 13,
+        }
+    }
+
+    /// This event's kind name.
+    pub fn name(&self) -> &'static str {
+        SchedEvent::NAMES[self.index()]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,13 +776,17 @@ mod tests {
     #[test]
     fn net_fault_plans_are_reproducible_and_queryable() {
         assert_eq!(
-            NetFaultPlan::seeded(5, 3, 64, 0.1),
-            NetFaultPlan::seeded(5, 3, 64, 0.1)
+            NetFaultPlan::seeded(5, &[64; 3], 0.1),
+            NetFaultPlan::seeded(5, &[64; 3], 0.1)
         );
         assert_ne!(
-            NetFaultPlan::seeded(5, 3, 64, 1.0),
-            NetFaultPlan::seeded(6, 3, 64, 1.0)
+            NetFaultPlan::seeded(5, &[64; 3], 1.0),
+            NetFaultPlan::seeded(6, &[64; 3], 1.0)
         );
+        // Each peer draws only over its own frame range.
+        let plan = NetFaultPlan::seeded(5, &[3, 0], 1.0);
+        assert_eq!(plan.events().len(), 3);
+        assert!(plan.events().iter().all(|e| e.peer == 0 && e.at_frame < 3));
         let plan = NetFaultPlan::sever_at(1, 12);
         assert!(plan.at(1, 12).any(|k| matches!(k, NetFaultKind::Sever)));
         assert_eq!(plan.at(0, 12).count(), 0);

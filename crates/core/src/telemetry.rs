@@ -17,9 +17,10 @@
 //!    occupancy.
 //! 3. **Exporters** — [`ChromeTracer`] renders recorded events as Chrome
 //!    `trace_event` JSON (one process lane per node, one thread lane per
-//!    stream; loadable in `chrome://tracing` or [Perfetto]), and
-//!    [`Metrics::to_json_value`] emits the flat dump the `grout-bench`
-//!    binaries write as a machine-readable run artifact.
+//!    stream; loadable in `chrome://tracing` or [Perfetto]).
+//!    [`Metrics::snapshot`] freezes the registry into the one metrics
+//!    model, [`MetricsSnapshot`], which renders both the Prometheus text
+//!    `/metrics` serves and the JSON `--metrics-out` writes.
 //!
 //! Timestamps are nanoseconds from an arbitrary per-run origin: the
 //! simulator passes virtual time (making traces bit-for-bit deterministic
@@ -314,8 +315,12 @@ impl Telemetry {
         if !self.enabled() {
             return;
         }
-        let (name, args) = sched_event_payload(event);
-        self.instant(name, Lane::CONTROLLER, at_ns, &args);
+        self.instant(
+            event.name(),
+            Lane::CONTROLLER,
+            at_ns,
+            &sched_event_args(event),
+        );
     }
 
     /// A handle that relocates every event into `session`'s stripe of
@@ -407,139 +412,98 @@ impl Recorder for SessionLanes {
     }
 }
 
-/// Decompose a [`SchedEvent`] into an instant-event name plus args.
-fn sched_event_payload(event: &SchedEvent) -> (&'static str, Vec<(&'static str, ArgValue<'_>)>) {
+/// A [`SchedEvent`]'s fields as instant-event args (its name is
+/// [`SchedEvent::name`]).
+fn sched_event_args(event: &SchedEvent) -> Vec<(&'static str, ArgValue<'_>)> {
     match event {
         SchedEvent::Fault {
             at_ce,
             worker,
             kind,
             epoch,
-        } => (
-            "fault",
-            vec![
-                ("at_ce", ArgValue::U64(*at_ce as u64)),
-                ("worker", ArgValue::I64(worker.map_or(-1, |w| w as i64))),
-                ("kind", ArgValue::Str(kind)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
+        } => vec![
+            ("at_ce", ArgValue::U64(*at_ce as u64)),
+            ("worker", ArgValue::I64(worker.map_or(-1, |w| w as i64))),
+            ("kind", ArgValue::Str(kind)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
         SchedEvent::Retry {
             at_ce,
             worker,
             attempt,
             backoff,
-        } => (
-            "retry",
-            vec![
-                ("at_ce", ArgValue::U64(*at_ce as u64)),
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("attempt", ArgValue::U64(*attempt as u64)),
-                ("backoff_us", ArgValue::F64(backoff.as_micros_f64())),
-            ],
-        ),
+        } => vec![
+            ("at_ce", ArgValue::U64(*at_ce as u64)),
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("attempt", ArgValue::U64(*attempt as u64)),
+            ("backoff_us", ArgValue::F64(backoff.as_micros_f64())),
+        ],
         SchedEvent::Quarantine {
             worker,
             at_ce,
             lost,
             epoch,
-        } => (
-            "quarantine",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("at_ce", ArgValue::U64(*at_ce as u64)),
-                ("lost_arrays", ArgValue::U64(lost.len() as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
-        SchedEvent::Replay { dag_index, epoch } => (
-            "replay",
-            vec![
-                ("dag_index", ArgValue::U64(*dag_index as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
+        } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("at_ce", ArgValue::U64(*at_ce as u64)),
+            ("lost_arrays", ArgValue::U64(lost.len() as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
+        SchedEvent::Replay { dag_index, epoch } => vec![
+            ("dag_index", ArgValue::U64(*dag_index as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
         SchedEvent::Reassign {
             dag_index,
             from,
             to,
             epoch,
-        } => (
-            "reassign",
-            vec![
-                ("dag_index", ArgValue::U64(*dag_index as u64)),
-                ("from", ArgValue::U64(*from as u64)),
-                ("to", ArgValue::U64(*to as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
-        SchedEvent::TransferDropped { at_ce, array } => (
-            "transfer-dropped",
-            vec![
-                ("at_ce", ArgValue::U64(*at_ce as u64)),
-                ("array", ArgValue::U64(array.0)),
-            ],
-        ),
+        } => vec![
+            ("dag_index", ArgValue::U64(*dag_index as u64)),
+            ("from", ArgValue::U64(*from as u64)),
+            ("to", ArgValue::U64(*to as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
+        SchedEvent::TransferDropped { at_ce, array } => vec![
+            ("at_ce", ArgValue::U64(*at_ce as u64)),
+            ("array", ArgValue::U64(array.0)),
+        ],
         SchedEvent::TransferDelayed {
             at_ce,
             array,
             delay,
-        } => (
-            "transfer-delayed",
-            vec![
-                ("at_ce", ArgValue::U64(*at_ce as u64)),
-                ("array", ArgValue::U64(array.0)),
-                ("delay_us", ArgValue::F64(delay.as_micros_f64())),
-            ],
-        ),
-        SchedEvent::TransferRedriven { at_ce } => (
-            "transfer-redriven",
-            vec![("at_ce", ArgValue::U64(*at_ce as u64))],
-        ),
-        SchedEvent::SpawnFailed { worker } => (
-            "spawn-failed",
-            vec![("worker", ArgValue::U64(*worker as u64))],
-        ),
-        SchedEvent::Suspected { worker, epoch } => (
-            "suspected",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
-        SchedEvent::Reinstated { worker, epoch } => (
-            "reinstated",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
-        SchedEvent::Rejoined { worker, epoch } => (
-            "rejoined",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
-        SchedEvent::Joined { worker, epoch } => (
-            "joined",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
+        } => vec![
+            ("at_ce", ArgValue::U64(*at_ce as u64)),
+            ("array", ArgValue::U64(array.0)),
+            ("delay_us", ArgValue::F64(delay.as_micros_f64())),
+        ],
+        SchedEvent::TransferRedriven { at_ce } => vec![("at_ce", ArgValue::U64(*at_ce as u64))],
+        SchedEvent::SpawnFailed { worker } => vec![("worker", ArgValue::U64(*worker as u64))],
+        SchedEvent::Suspected { worker, epoch } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
+        SchedEvent::Reinstated { worker, epoch } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
+        SchedEvent::Rejoined { worker, epoch } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
+        SchedEvent::Joined { worker, epoch } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
         SchedEvent::Departed {
             worker,
             rebalanced,
             epoch,
-        } => (
-            "departed",
-            vec![
-                ("worker", ArgValue::U64(*worker as u64)),
-                ("rebalanced", ArgValue::U64(*rebalanced as u64)),
-                ("epoch", ArgValue::U64(*epoch)),
-            ],
-        ),
+        } => vec![
+            ("worker", ArgValue::U64(*worker as u64)),
+            ("rebalanced", ArgValue::U64(*rebalanced as u64)),
+            ("epoch", ArgValue::U64(*epoch)),
+        ],
     }
 }
 
@@ -984,25 +948,12 @@ impl LatencyStat {
         }
         self.max_ns
     }
-
-    fn to_json(self) -> Value {
-        Value::Object(vec![
-            ("count".to_string(), Value::U64(self.count)),
-            ("sum_ns".to_string(), Value::U64(self.sum_ns)),
-            ("min_ns".to_string(), Value::U64(self.min_ns)),
-            ("max_ns".to_string(), Value::U64(self.max_ns)),
-            ("mean_ns".to_string(), Value::F64(self.mean_ns())),
-            ("p50_ns".to_string(), Value::U64(self.percentile_ns(0.50))),
-            ("p90_ns".to_string(), Value::U64(self.percentile_ns(0.90))),
-            ("p99_ns".to_string(), Value::U64(self.percentile_ns(0.99))),
-        ])
-    }
 }
 
 /// Per-peer wire observability snapshot: frames/bytes both directions,
 /// the heartbeat RTT histogram, the current clock-offset estimate and
 /// telemetry-batch accounting. Produced by `Transport::wire_stats`
-/// implementations and surfaced through [`Metrics::to_json_value`] and
+/// implementations and surfaced through [`Metrics::snapshot`] and
 /// `grout-run --stats`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeerWireStats {
@@ -1032,35 +983,6 @@ pub struct PeerWireStats {
     pub resumes: u64,
 }
 
-impl PeerWireStats {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("frames_sent".to_string(), Value::U64(self.frames_sent)),
-            ("bytes_sent".to_string(), Value::U64(self.bytes_sent)),
-            ("frames_recv".to_string(), Value::U64(self.frames_recv)),
-            ("bytes_recv".to_string(), Value::U64(self.bytes_recv)),
-            ("hb_rtt".to_string(), self.hb_rtt.to_json()),
-            (
-                "clock_offset_ns".to_string(),
-                Value::I64(self.clock_offset_ns),
-            ),
-            (
-                "telemetry_batches".to_string(),
-                Value::U64(self.telemetry_batches),
-            ),
-            (
-                "telemetry_spans".to_string(),
-                Value::U64(self.telemetry_spans),
-            ),
-            (
-                "telemetry_backlog".to_string(),
-                Value::U64(self.telemetry_backlog),
-            ),
-            ("resumes".to_string(), Value::U64(self.resumes)),
-        ])
-    }
-}
-
 /// The always-on metrics registry. Both runtimes own one directly and
 /// update it with plain field access — no locks, no indirection — so its
 /// cost is a handful of integer adds per CE.
@@ -1080,35 +1002,9 @@ pub struct Metrics {
     pub p2p_bytes: u64,
     /// Payload bytes moved via two-hop controller staging.
     pub staged_bytes: u64,
-    /// Injected or detected faults.
-    pub faults: u64,
-    /// Transient launch retries.
-    pub retries: u64,
-    /// Workers quarantined.
-    pub quarantines: u64,
-    /// Ancestor CEs replayed during recovery.
-    pub replays: u64,
-    /// In-flight CEs moved off quarantined nodes.
-    pub reassigns: u64,
-    /// Transfers lost and re-driven.
-    pub transfers_dropped: u64,
-    /// Transfers that arrived late.
-    pub transfers_delayed: u64,
-    /// Re-driven input supplies after timeout or recovery.
-    pub transfers_redriven: u64,
-    /// Worker threads that failed to spawn.
-    pub spawn_failures: u64,
-    /// Workers that entered the suspect grace window (omission faults).
-    pub suspects: u64,
-    /// Suspected workers that resumed within their grace window.
-    pub reinstates: u64,
-    /// Quarantined workers re-admitted under a new membership epoch.
-    pub rejoins: u64,
-    /// Workers attached to the live controller (elastic scale-out).
-    pub joins: u64,
-    /// Workers departed cleanly, directory entries rebalanced (elastic
-    /// scale-in) — disjoint from `quarantines`.
-    pub leaves: u64,
+    /// Scheduling events counted by kind, indexed by
+    /// [`SchedEvent::index`] (names in [`SchedEvent::NAMES`]).
+    pub events: [u64; SchedEvent::NAMES.len()],
     /// Kernels completed per worker.
     pub kernels_by_worker: Vec<u64>,
     /// Busy nanoseconds per worker (kernel occupancy).
@@ -1134,8 +1030,7 @@ pub struct Metrics {
     pub wire: Vec<PeerWireStats>,
     /// The tenant session this runtime's view belongs to when it runs on
     /// a shared fleet behind a `SessionTransport` (`None` ⇒ standalone
-    /// deployment; renders as `0` in exports so the column is never
-    /// blank).
+    /// deployment, whose snapshot carries no `session` label).
     pub session: Option<u64>,
 }
 
@@ -1178,22 +1073,14 @@ impl Metrics {
 
     /// Bump the counter matching a [`SchedEvent`].
     pub fn record_event(&mut self, event: &SchedEvent) {
-        match event {
-            SchedEvent::Fault { .. } => self.faults += 1,
-            SchedEvent::Retry { .. } => self.retries += 1,
-            SchedEvent::Quarantine { .. } => self.quarantines += 1,
-            SchedEvent::Replay { .. } => self.replays += 1,
-            SchedEvent::Reassign { .. } => self.reassigns += 1,
-            SchedEvent::TransferDropped { .. } => self.transfers_dropped += 1,
-            SchedEvent::TransferDelayed { .. } => self.transfers_delayed += 1,
-            SchedEvent::TransferRedriven { .. } => self.transfers_redriven += 1,
-            SchedEvent::SpawnFailed { .. } => self.spawn_failures += 1,
-            SchedEvent::Suspected { .. } => self.suspects += 1,
-            SchedEvent::Reinstated { .. } => self.reinstates += 1,
-            SchedEvent::Rejoined { .. } => self.rejoins += 1,
-            SchedEvent::Joined { .. } => self.joins += 1,
-            SchedEvent::Departed { .. } => self.leaves += 1,
-        }
+        self.events[event.index()] += 1;
+    }
+
+    /// Events counted of the kind named `kind` (one of
+    /// [`SchedEvent::NAMES`]; any other name panics).
+    pub fn event_count(&self, kind: &str) -> u64 {
+        let i = SchedEvent::NAMES.iter().position(|n| *n == kind);
+        self.events[i.unwrap_or_else(|| panic!("no SchedEvent kind `{kind}`"))]
     }
 
     /// Record the link-bandwidth matrix the planner prices transfers
@@ -1220,99 +1107,6 @@ impl Metrics {
     /// Total kernels across workers.
     pub fn total_kernels(&self) -> u64 {
         self.kernels_by_worker.iter().sum()
-    }
-
-    /// The registry as a flat JSON object (one key per metric; the
-    /// latency aggregates nest count/sum/min/max/mean).
-    pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("plan".to_string(), self.plan.to_json()),
-            ("queue".to_string(), self.queue.to_json()),
-            ("transfer".to_string(), self.transfer.to_json()),
-            ("execute".to_string(), self.execute.to_json()),
-            (
-                "controller_send_bytes".to_string(),
-                Value::U64(self.controller_send_bytes),
-            ),
-            ("p2p_bytes".to_string(), Value::U64(self.p2p_bytes)),
-            ("staged_bytes".to_string(), Value::U64(self.staged_bytes)),
-            (
-                "payload_bytes".to_string(),
-                Value::U64(self.payload_bytes()),
-            ),
-            ("faults".to_string(), Value::U64(self.faults)),
-            ("retries".to_string(), Value::U64(self.retries)),
-            ("quarantines".to_string(), Value::U64(self.quarantines)),
-            ("replays".to_string(), Value::U64(self.replays)),
-            ("reassigns".to_string(), Value::U64(self.reassigns)),
-            (
-                "transfers_dropped".to_string(),
-                Value::U64(self.transfers_dropped),
-            ),
-            (
-                "transfers_delayed".to_string(),
-                Value::U64(self.transfers_delayed),
-            ),
-            (
-                "transfers_redriven".to_string(),
-                Value::U64(self.transfers_redriven),
-            ),
-            (
-                "spawn_failures".to_string(),
-                Value::U64(self.spawn_failures),
-            ),
-            ("suspects".to_string(), Value::U64(self.suspects)),
-            ("reinstates".to_string(), Value::U64(self.reinstates)),
-            ("rejoins".to_string(), Value::U64(self.rejoins)),
-            ("joins".to_string(), Value::U64(self.joins)),
-            ("leaves".to_string(), Value::U64(self.leaves)),
-            (
-                "kernels_by_worker".to_string(),
-                Value::Array(
-                    self.kernels_by_worker
-                        .iter()
-                        .map(|&k| Value::U64(k))
-                        .collect(),
-                ),
-            ),
-            (
-                "busy_ns_by_worker".to_string(),
-                Value::Array(
-                    self.busy_ns_by_worker
-                        .iter()
-                        .map(|&k| Value::U64(k))
-                        .collect(),
-                ),
-            ),
-            (
-                "bw_source".to_string(),
-                Value::String(self.bw_source.clone()),
-            ),
-            (
-                "transport".to_string(),
-                Value::String(self.transport.clone()),
-            ),
-            (
-                "bw_bps".to_string(),
-                Value::Array(
-                    self.bw_bps
-                        .iter()
-                        .map(|row| Value::Array(row.iter().map(|&b| Value::U64(b)).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "wire".to_string(),
-                Value::Array(self.wire.iter().map(PeerWireStats::to_json).collect()),
-            ),
-            ("session".to_string(), Value::U64(self.session.unwrap_or(0))),
-        ])
-    }
-
-    /// The registry rendered as pretty-printed JSON (what `--metrics-out`
-    /// writes).
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json_value()).expect("render metrics")
     }
 }
 
@@ -1450,39 +1244,208 @@ impl MetricsSnapshot {
                     }
                     out.push('}');
                 }
-                // Integral values print without a fractional part; the
-                // format accepts either but integers read better for
-                // counters.
-                if value.fract() == 0.0 && value.abs() < 1e15 {
-                    let _ = writeln!(out, " {}", *value as i64);
-                } else {
-                    let _ = writeln!(out, " {value}");
+                match as_integer(*value) {
+                    Some(v) => _ = writeln!(out, " {v}"),
+                    None => _ = writeln!(out, " {value}"),
                 }
             }
         }
         out
     }
+
+    /// The snapshot as JSON (what `--metrics-out` writes): one key per
+    /// family, each holding its `kind`, `help` and `samples: [{labels,
+    /// value}]`, in push order.
+    pub fn to_json(&self) -> Value {
+        let sample = |(labels, value): &(Vec<(String, String)>, f64)| {
+            let labels = labels
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::String(v.clone())))
+                .collect();
+            let value = as_integer(*value).map_or(Value::F64(*value), Value::I64);
+            Value::Object(vec![
+                ("labels".to_string(), Value::Object(labels)),
+                ("value".to_string(), value),
+            ])
+        };
+        Value::Object(
+            self.families
+                .iter()
+                .map(|f| {
+                    let family = vec![
+                        ("kind".to_string(), Value::String(f.kind.as_str().into())),
+                        ("help".to_string(), Value::String(f.help.clone())),
+                        (
+                            "samples".to_string(),
+                            Value::Array(f.samples.iter().map(sample).collect()),
+                        ),
+                    ];
+                    (f.name.clone(), Value::Object(family))
+                })
+                .collect(),
+        )
+    }
+
+    /// One [`LatencyStat`] as its three `families`: the sample count, the
+    /// nanosecond sum and a gauge per `stat` (min, mean, p50, p90, p99,
+    /// max).
+    fn push_latency(
+        &mut self,
+        families: &LatencyFamilies,
+        labels: &[(&str, &str)],
+        stat: &LatencyStat,
+    ) {
+        let [(count, count_help), (sum, sum_help), (by_stat, stat_help)] = *families;
+        self.push(
+            count,
+            MetricKind::Counter,
+            count_help,
+            labels,
+            stat.count as f64,
+        );
+        self.push(
+            sum,
+            MetricKind::Counter,
+            sum_help,
+            labels,
+            stat.sum_ns as f64,
+        );
+        let q = |q: f64| stat.percentile_ns(q) as f64;
+        for (name, ns) in [
+            ("min", stat.min_ns as f64),
+            ("mean", stat.mean_ns()),
+            ("p50", q(0.50)),
+            ("p90", q(0.90)),
+            ("p99", q(0.99)),
+            ("max", stat.max_ns as f64),
+        ] {
+            let l = with(labels, &[("stat", name)]);
+            self.push(by_stat, MetricKind::Gauge, stat_help, &l, ns);
+        }
+    }
+
+    /// The per-peer wire families of `peers` (indexed by worker), each
+    /// sample labelled `labels` plus `worker`. Both [`Metrics::snapshot`]
+    /// and `grout-ctld`'s fleet view (`role="fleet"`) render through it.
+    pub fn push_wire(&mut self, labels: &[(&str, &str)], peers: &[PeerWireStats]) {
+        use MetricKind::{Counter, Gauge};
+        for (w, peer) in peers.iter().enumerate() {
+            let w = w.to_string();
+            let l = with(labels, &[("worker", &w)]);
+            for (dir, frames, bytes) in [
+                ("sent", peer.frames_sent, peer.bytes_sent),
+                ("recv", peer.frames_recv, peer.bytes_recv),
+            ] {
+                let l = with(&l, &[("dir", dir)]);
+                let help = "Wire frames per peer and direction";
+                self.push("grout_wire_frames_total", Counter, help, &l, frames as f64);
+                let help = "Wire bytes per peer and direction";
+                self.push("grout_wire_bytes_total", Counter, help, &l, bytes as f64);
+            }
+            self.push_latency(&HB_RTT_FAMILIES, &l, &peer.hb_rtt);
+            for (name, kind, help, value) in [
+                (
+                    "grout_wire_clock_offset_ns",
+                    Gauge,
+                    "Estimated offset to add to this peer's timestamps",
+                    peer.clock_offset_ns as f64,
+                ),
+                (
+                    "grout_wire_telemetry_batches_total",
+                    Counter,
+                    "Telemetry batches received per peer",
+                    peer.telemetry_batches as f64,
+                ),
+                (
+                    "grout_wire_telemetry_spans_total",
+                    Counter,
+                    "Spans across the telemetry batches received per peer",
+                    peer.telemetry_spans as f64,
+                ),
+                (
+                    "grout_wire_telemetry_backlog",
+                    Gauge,
+                    "Peer-reported span backlog at its last flush",
+                    peer.telemetry_backlog as f64,
+                ),
+                (
+                    "grout_wire_resumes_total",
+                    Counter,
+                    "Severed connections resumed without planner impact",
+                    peer.resumes as f64,
+                ),
+            ] {
+                self.push(name, kind, help, &l, value);
+            }
+        }
+    }
 }
 
+/// `value` as an integer when it is one: integral samples render without
+/// a fractional part (both formats accept either, but integers read
+/// better for counters).
+fn as_integer(value: f64) -> Option<i64> {
+    (value.fract() == 0.0 && value.abs() < 1e15).then_some(value as i64)
+}
+
+/// `labels` followed by `extra`.
+fn with<'a>(
+    labels: &[(&'a str, &'a str)],
+    extra: &[(&'a str, &'a str)],
+) -> Vec<(&'a str, &'a str)> {
+    labels.iter().chain(extra).copied().collect()
+}
+
+/// Name and help of the three families one [`LatencyStat`] renders to:
+/// its sample count, its nanosecond sum and its per-`stat` gauge.
+type LatencyFamilies = [(&'static str, &'static str); 3];
+
+const PHASE_FAMILIES: LatencyFamilies = [
+    (
+        "grout_ce_phase_count",
+        "CEs that passed this scheduling phase",
+    ),
+    (
+        "grout_ce_phase_sum_ns",
+        "Cumulative nanoseconds spent in this phase",
+    ),
+    (
+        "grout_ce_phase_latency_ns",
+        "Phase latency statistic over the run so far",
+    ),
+];
+
+const HB_RTT_FAMILIES: LatencyFamilies = [
+    (
+        "grout_wire_hb_rtt_count",
+        "Heartbeat round trips timed per peer",
+    ),
+    (
+        "grout_wire_hb_rtt_sum_ns",
+        "Cumulative heartbeat round-trip nanoseconds per peer",
+    ),
+    (
+        "grout_wire_hb_rtt_ns",
+        "Heartbeat round-trip statistic per peer",
+    ),
+];
+
 impl Metrics {
-    /// A labeled snapshot of this registry. `base` labels are attached
-    /// to every sample; the session tag (when the registry belongs to a
-    /// tenant on a shared fleet) rides as a `session` label, per-worker
-    /// vectors as a `worker` label and the movement-kind byte split as a
-    /// `policy` label.
+    /// This registry in the one metrics model: every field becomes
+    /// samples of a family listed in DESIGN §12's catalogue. `base` labels
+    /// are attached to every sample; the session tag (when the registry
+    /// belongs to a tenant on a shared fleet) rides as a `session` label,
+    /// per-worker vectors as a `worker` label, the movement-kind byte
+    /// split as a `policy` label and the link matrix as `src`/`dst`.
     pub fn snapshot(&self, base: &[(&str, &str)]) -> MetricsSnapshot {
+        use MetricKind::{Counter, Gauge};
         let mut snap = MetricsSnapshot::new();
         let session = self.session.map(|s| s.to_string());
         let mut labels: Vec<(&str, &str)> = base.to_vec();
         if let Some(s) = &session {
             labels.push(("session", s));
         }
-        fn with<'a>(
-            extra: &[(&'a str, &'a str)],
-            labels: &[(&'a str, &'a str)],
-        ) -> Vec<(&'a str, &'a str)> {
-            labels.iter().chain(extra.iter()).copied().collect()
-        }
+        let labels = &labels[..];
 
         for (phase, stat) in [
             ("plan", &self.plan),
@@ -1490,30 +1453,7 @@ impl Metrics {
             ("transfer", &self.transfer),
             ("execute", &self.execute),
         ] {
-            let l = with(&[("phase", phase)], &labels);
-            snap.push(
-                "grout_ce_phase_count",
-                MetricKind::Counter,
-                "CEs that passed this scheduling phase",
-                &l,
-                stat.count as f64,
-            );
-            snap.push(
-                "grout_ce_phase_sum_ns",
-                MetricKind::Counter,
-                "Cumulative nanoseconds spent in this phase",
-                &l,
-                stat.sum_ns as f64,
-            );
-            for (q, name) in [(0.50, "p50"), (0.99, "p99")] {
-                snap.push(
-                    "grout_ce_phase_latency_ns",
-                    MetricKind::Gauge,
-                    "Phase latency percentile over the run so far",
-                    &with(&[("phase", phase), ("stat", name)], &labels),
-                    stat.percentile_ns(q) as f64,
-                );
-            }
+            snap.push_latency(&PHASE_FAMILIES, &with(labels, &[("phase", phase)]), stat);
         }
 
         for (policy, bytes) in [
@@ -1523,34 +1463,19 @@ impl Metrics {
         ] {
             snap.push(
                 "grout_moved_bytes_total",
-                MetricKind::Counter,
+                Counter,
                 "Payload bytes moved, split by movement policy",
-                &with(&[("policy", policy)], &labels),
+                &with(labels, &[("policy", policy)]),
                 bytes as f64,
             );
         }
 
-        for (kind, count) in [
-            ("fault", self.faults),
-            ("retry", self.retries),
-            ("quarantine", self.quarantines),
-            ("replay", self.replays),
-            ("reassign", self.reassigns),
-            ("transfer_dropped", self.transfers_dropped),
-            ("transfer_delayed", self.transfers_delayed),
-            ("transfer_redriven", self.transfers_redriven),
-            ("spawn_failed", self.spawn_failures),
-            ("suspected", self.suspects),
-            ("reinstated", self.reinstates),
-            ("rejoined", self.rejoins),
-            ("joined", self.joins),
-            ("departed", self.leaves),
-        ] {
+        for (kind, count) in SchedEvent::NAMES.iter().zip(self.events) {
             snap.push(
                 "grout_sched_events_total",
-                MetricKind::Counter,
+                Counter,
                 "Scheduling events by kind",
-                &with(&[("kind", kind)], &labels),
+                &with(labels, &[("kind", kind)]),
                 count as f64,
             );
         }
@@ -1558,76 +1483,57 @@ impl Metrics {
         for (w, (kernels, busy)) in self
             .kernels_by_worker
             .iter()
-            .zip(self.busy_ns_by_worker.iter())
+            .zip(&self.busy_ns_by_worker)
             .enumerate()
         {
             let w = w.to_string();
-            let l = with(&[("worker", &w)], &labels);
+            let l = with(labels, &[("worker", &w)]);
+            let help = "Kernels completed per worker";
             snap.push(
                 "grout_worker_kernels_total",
-                MetricKind::Counter,
-                "Kernels completed per worker",
+                Counter,
+                help,
                 &l,
                 *kernels as f64,
             );
+            let help = "Kernel-occupied nanoseconds per worker";
             snap.push(
                 "grout_worker_busy_ns_total",
-                MetricKind::Counter,
-                "Kernel-occupied nanoseconds per worker",
+                Counter,
+                help,
                 &l,
                 *busy as f64,
             );
         }
 
-        for (w, peer) in self.wire.iter().enumerate() {
-            let w = w.to_string();
-            for (dir, frames, bytes) in [
-                ("sent", peer.frames_sent, peer.bytes_sent),
-                ("recv", peer.frames_recv, peer.bytes_recv),
-            ] {
-                let l = with(&[("worker", &w), ("dir", dir)], &labels);
+        snap.push(
+            "grout_run_info",
+            Gauge,
+            "Transport carrying the run and where its link matrix came from",
+            &with(
+                labels,
+                &[
+                    ("transport", &self.transport),
+                    ("bw_source", &self.bw_source),
+                ],
+            ),
+            1.0,
+        );
+        for (src, row) in self.bw_bps.iter().enumerate() {
+            let src = src.to_string();
+            for (dst, bps) in row.iter().enumerate() {
+                let dst = dst.to_string();
                 snap.push(
-                    "grout_wire_frames_total",
-                    MetricKind::Counter,
-                    "Wire frames per peer and direction",
-                    &l,
-                    frames as f64,
-                );
-                snap.push(
-                    "grout_wire_bytes_total",
-                    MetricKind::Counter,
-                    "Wire bytes per peer and direction",
-                    &l,
-                    bytes as f64,
-                );
-            }
-            for (stat, ns) in [
-                ("p50", peer.hb_rtt.percentile_ns(0.50)),
-                ("p99", peer.hb_rtt.percentile_ns(0.99)),
-            ] {
-                snap.push(
-                    "grout_wire_hb_rtt_ns",
-                    MetricKind::Gauge,
-                    "Heartbeat round-trip percentile per peer",
-                    &with(&[("worker", &w), ("stat", stat)], &labels),
-                    ns as f64,
+                    "grout_link_bandwidth_bps",
+                    Gauge,
+                    "Link bandwidth transfers are priced with (endpoint 0 is the controller)",
+                    &with(labels, &[("src", &src), ("dst", &dst)]),
+                    *bps as f64,
                 );
             }
-            snap.push(
-                "grout_wire_resumes_total",
-                MetricKind::Counter,
-                "Severed connections resumed without planner impact",
-                &with(&[("worker", &w)], &labels),
-                peer.resumes as f64,
-            );
-            snap.push(
-                "grout_wire_telemetry_backlog",
-                MetricKind::Gauge,
-                "Peer-reported span backlog at its last flush",
-                &with(&[("worker", &w)], &labels),
-                peer.telemetry_backlog as f64,
-            );
         }
+
+        snap.push_wire(labels, &self.wire);
         snap
     }
 }
@@ -1868,9 +1774,9 @@ mod tests {
         assert_eq!(empty.percentile_ns(0.99), 0);
         let mut m = Metrics::with_workers(1);
         m.wire.push(PeerWireStats::default()); // hb_rtt has count 0
-        let json = serde_json::to_string(&m.to_json_value()).expect("render");
+        let json = serde_json::to_string(&m.snapshot(&[]).to_json()).expect("render");
         assert!(!json.contains("NaN"));
-        assert!(json.contains("\"wire\""));
+        assert!(json.contains("\"grout_wire_hb_rtt_ns\""));
 
         // Percentiles bracket the observed range and order correctly.
         let mut s = LatencyStat::default();
@@ -2031,19 +1937,10 @@ mod tests {
         });
         m.record_event(&SchedEvent::TransferRedriven { at_ce: 3 });
         m.record_event(&SchedEvent::SpawnFailed { worker: 0 });
-        assert_eq!(
-            (m.faults, m.retries, m.quarantines, m.replays, m.reassigns),
-            (1, 1, 1, 1, 1)
-        );
-        assert_eq!(
-            (
-                m.transfers_dropped,
-                m.transfers_delayed,
-                m.transfers_redriven,
-                m.spawn_failures
-            ),
-            (1, 1, 1, 1)
-        );
+        for kind in &SchedEvent::NAMES[..9] {
+            assert_eq!(m.event_count(kind), 1, "{kind}");
+        }
+        assert_eq!(m.events.iter().sum::<u64>(), 9);
     }
 
     #[test]
@@ -2139,9 +2036,19 @@ mod tests {
         let mut m = Metrics::with_workers(1);
         m.plan.record(100);
         m.record_movement(MovementKind::P2p, 7);
-        let json = serde_json::to_string(&m.to_json_value()).expect("render metrics");
-        assert!(json.contains("\"p2p_bytes\":7"));
-        assert!(json.contains("\"plan\""));
+        let json = serde_json::to_string(&m.snapshot(&[]).to_json()).expect("render metrics");
+        assert!(json.contains("{\"labels\":{\"policy\":\"p2p\"},\"value\":7}"));
+        assert!(json.contains("{\"labels\":{\"phase\":\"plan\"},\"value\":1}"));
+        let parsed = serde_json::from_str(&json).expect("dump parses");
+        let moved = parsed.get("grout_moved_bytes_total").expect("family");
+        assert_eq!(moved.get("kind").and_then(Value::as_str), Some("counter"));
+        assert_eq!(
+            moved
+                .get("samples")
+                .and_then(Value::as_array)
+                .map(<[_]>::len),
+            Some(3)
+        );
     }
 
     #[test]
@@ -2207,7 +2114,7 @@ mod tests {
         m.plan.record(100);
         m.plan.record(300);
         m.record_movement(MovementKind::P2p, 7);
-        m.faults = 2;
+        m.events[0] = 2; // `fault`
         m.kernels_by_worker[1] = 5;
         m.session = Some(4);
         let snap = m.snapshot(&[("role", "ctld")]);
@@ -2248,148 +2155,106 @@ mod tests {
     fn every_sched_event_kind_reaches_json_and_snapshot() {
         use crate::faults::SchedEvent as E;
         let d = SimDuration::from_millis(1);
-        // (event, key in `to_json_value`, `kind` label in the snapshot)
-        let table = [
-            (
-                E::Fault {
-                    at_ce: 0,
-                    worker: None,
-                    kind: "kill-worker",
-                    epoch: 1,
-                },
-                "faults",
-                "fault",
-            ),
-            (
-                E::Retry {
-                    at_ce: 0,
-                    worker: 0,
-                    attempt: 1,
-                    backoff: d,
-                },
-                "retries",
-                "retry",
-            ),
-            (
-                E::Quarantine {
-                    worker: 0,
-                    at_ce: 0,
-                    lost: vec![],
-                    epoch: 1,
-                },
-                "quarantines",
-                "quarantine",
-            ),
-            (
-                E::Replay {
-                    dag_index: 0,
-                    epoch: 1,
-                },
-                "replays",
-                "replay",
-            ),
-            (
-                E::Reassign {
-                    dag_index: 0,
-                    from: 0,
-                    to: 1,
-                    epoch: 1,
-                },
-                "reassigns",
-                "reassign",
-            ),
-            (
-                E::TransferDropped {
-                    at_ce: 0,
-                    array: crate::ArrayId(0),
-                },
-                "transfers_dropped",
-                "transfer_dropped",
-            ),
-            (
-                E::TransferDelayed {
-                    at_ce: 0,
-                    array: crate::ArrayId(0),
-                    delay: d,
-                },
-                "transfers_delayed",
-                "transfer_delayed",
-            ),
-            (
-                E::TransferRedriven { at_ce: 0 },
-                "transfers_redriven",
-                "transfer_redriven",
-            ),
-            (
-                E::SpawnFailed { worker: 0 },
-                "spawn_failures",
-                "spawn_failed",
-            ),
-            (
-                E::Suspected {
-                    worker: 0,
-                    epoch: 1,
-                },
-                "suspects",
-                "suspected",
-            ),
-            (
-                E::Reinstated {
-                    worker: 0,
-                    epoch: 1,
-                },
-                "reinstates",
-                "reinstated",
-            ),
-            (
-                E::Rejoined {
-                    worker: 0,
-                    epoch: 2,
-                },
-                "rejoins",
-                "rejoined",
-            ),
-            (
-                E::Joined {
-                    worker: 2,
-                    epoch: 3,
-                },
-                "joins",
-                "joined",
-            ),
-            (
-                E::Departed {
-                    worker: 0,
-                    rebalanced: 1,
-                    epoch: 4,
-                },
-                "leaves",
-                "departed",
-            ),
+        let w = 0;
+        let epoch = 1;
+        let events = [
+            E::Fault {
+                at_ce: 0,
+                worker: None,
+                kind: "kill-worker",
+                epoch,
+            },
+            E::Retry {
+                at_ce: 0,
+                worker: w,
+                attempt: 1,
+                backoff: d,
+            },
+            E::Quarantine {
+                worker: w,
+                at_ce: 0,
+                lost: vec![],
+                epoch,
+            },
+            E::Replay {
+                dag_index: 0,
+                epoch,
+            },
+            E::Reassign {
+                dag_index: 0,
+                from: 0,
+                to: 1,
+                epoch,
+            },
+            E::TransferDropped {
+                at_ce: 0,
+                array: crate::ArrayId(0),
+            },
+            E::TransferDelayed {
+                at_ce: 0,
+                array: crate::ArrayId(0),
+                delay: d,
+            },
+            E::TransferRedriven { at_ce: 0 },
+            E::SpawnFailed { worker: w },
+            E::Suspected { worker: w, epoch },
+            E::Reinstated { worker: w, epoch },
+            E::Rejoined { worker: w, epoch },
+            E::Joined { worker: w, epoch },
+            E::Departed {
+                worker: w,
+                rebalanced: 1,
+                epoch,
+            },
         ];
+        // One variant per kind, each kind its own name.
+        let mut indices: Vec<usize> = events.iter().map(E::index).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..E::NAMES.len()).collect::<Vec<_>>());
         let mut m = Metrics::with_workers(2);
-        for (event, _, _) in &table {
+        let tracer = Shared::new(ChromeTracer::new());
+        for (at, event) in events.iter().enumerate() {
             m.record_event(event);
+            tracer.telemetry().sched_event(event, at as u64);
         }
-        let json = m.to_json_value();
         let snap = m.snapshot(&[]);
-        let events = snap
-            .families()
+        let json = snap.to_json();
+        let trace = tracer.lock().to_json_value();
+        let instants: Vec<&str> = trace
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .unwrap()
             .iter()
-            .find(|f| f.name == "grout_sched_events_total")
-            .expect("event family");
-        for (event, key, kind) in &table {
-            assert_eq!(
-                json.get(key).and_then(Value::as_u64),
-                Some(1),
-                "{event:?}: json `{key}`"
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("i"))
+            .filter_map(|e| e.get("name").and_then(Value::as_str))
+            .collect();
+        assert_eq!(instants.len(), events.len());
+        let prom = snap.to_prometheus();
+        for (event, instant) in events.iter().zip(instants) {
+            let kind = event.name();
+            assert_eq!(instant, kind, "{event:?}: trace instant name");
+            assert!(
+                prom.contains(&format!("grout_sched_events_total{{kind=\"{kind}\"}} 1\n")),
+                "{event:?}: no `{kind}` sample in the exposition"
             );
-            let sample = events
-                .samples
+            let sample = json
+                .get("grout_sched_events_total")
+                .and_then(|f| f.get("samples"))
+                .and_then(Value::as_array)
+                .unwrap()
                 .iter()
-                .find(|(labels, _)| labels.contains(&("kind".to_string(), kind.to_string())))
-                .unwrap_or_else(|| panic!("{event:?}: no snapshot kind `{kind}`"));
-            assert_eq!(sample.1, 1.0, "{event:?}: snapshot kind `{kind}`");
+                .find(|s| {
+                    s.get("labels")
+                        .and_then(|l| l.get("kind"))
+                        .and_then(Value::as_str)
+                        == Some(kind)
+                })
+                .unwrap_or_else(|| panic!("{event:?}: no `{kind}` sample in the JSON"));
+            assert_eq!(
+                sample.get("value").and_then(Value::as_u64),
+                Some(1),
+                "{event:?}"
+            );
         }
     }
 

@@ -197,6 +197,11 @@ impl Phase {
             Phase::Rejected { .. } => "rejected",
         }
     }
+
+    /// Finished, failed or rejected: the session will not change again.
+    fn is_done(&self) -> bool {
+        !matches!(self, Phase::Queued { .. } | Phase::Running)
+    }
 }
 
 /// One session's introspectable state. `session` is the daemon ticket
@@ -216,9 +221,14 @@ struct SessionEntry {
     metrics: Option<MetricsSnapshot>,
 }
 
-/// Every session this daemon has seen, keyed by admission ticket.
-/// Entries survive completion so end-of-run scrapes still see finished
-/// tenants.
+/// Sessions that ended (finished, failed or rejected) kept for
+/// `/sessions` and `/metrics`; older ones are evicted first.
+const RETAINED_DONE_SESSIONS: usize = 64;
+
+/// Every queued or running session, keyed by admission ticket, plus the
+/// [`RETAINED_DONE_SESSIONS`] latest-admitted ones that ended, so an
+/// end-of-run scrape still sees recent tenants while a long-lived daemon's
+/// registry (and the snapshots each scrape merges) stays bounded.
 #[derive(Default)]
 struct SessionRegistry {
     entries: Mutex<BTreeMap<u64, SessionEntry>>,
@@ -226,7 +236,9 @@ struct SessionRegistry {
 
 impl SessionRegistry {
     fn insert(&self, ticket: u64, priority: Priority, declared_bytes: u64, phase: Phase) {
-        self.entries.lock().expect("registry lock").insert(
+        let mut entries = self.entries.lock().expect("registry lock");
+        let done = phase.is_done();
+        entries.insert(
             ticket,
             SessionEntry {
                 session: ticket,
@@ -238,12 +250,33 @@ impl SessionRegistry {
                 metrics: None,
             },
         );
+        if done {
+            evict_done(&mut entries);
+        }
     }
 
     fn update(&self, ticket: u64, f: impl FnOnce(&mut SessionEntry)) {
-        if let Some(entry) = self.entries.lock().expect("registry lock").get_mut(&ticket) {
+        let mut entries = self.entries.lock().expect("registry lock");
+        if let Some(entry) = entries.get_mut(&ticket) {
+            let was_done = entry.phase.is_done();
             f(entry);
+            if !was_done && entry.phase.is_done() {
+                evict_done(&mut entries);
+            }
         }
+    }
+}
+
+/// Drops the oldest ended entries beyond [`RETAINED_DONE_SESSIONS`].
+fn evict_done(entries: &mut BTreeMap<u64, SessionEntry>) {
+    let done: Vec<u64> = entries
+        .iter()
+        .filter(|(_, e)| e.phase.is_done())
+        .map(|(&ticket, _)| ticket)
+        .collect();
+    let excess = done.len().saturating_sub(RETAINED_DONE_SESSIONS);
+    for ticket in &done[..excess] {
+        entries.remove(ticket);
     }
 }
 
@@ -429,35 +462,7 @@ impl Introspect for CtldIntrospect {
                     v as f64,
                 );
             }
-            for (w, peer) in p.wire.iter().enumerate() {
-                let w = w.to_string();
-                for (dir, frames, bytes) in [
-                    ("sent", peer.frames_sent, peer.bytes_sent),
-                    ("recv", peer.frames_recv, peer.bytes_recv),
-                ] {
-                    snap.push(
-                        "grout_wire_frames_total",
-                        MetricKind::Counter,
-                        "Wire frames per peer and direction",
-                        &[("role", "fleet"), ("worker", &w), ("dir", dir)],
-                        frames as f64,
-                    );
-                    snap.push(
-                        "grout_wire_bytes_total",
-                        MetricKind::Counter,
-                        "Wire bytes per peer and direction",
-                        &[("role", "fleet"), ("worker", &w), ("dir", dir)],
-                        bytes as f64,
-                    );
-                }
-                snap.push(
-                    "grout_wire_hb_rtt_ns",
-                    MetricKind::Gauge,
-                    "Heartbeat round-trip percentile per peer",
-                    &[("role", "fleet"), ("worker", &w), ("stat", "p50")],
-                    peer.hb_rtt.percentile_ns(0.50) as f64,
-                );
-            }
+            snap.push_wire(&[("role", "fleet")], &p.wire);
         }
         {
             let adm = self.admission.lock().expect("admission lock");
@@ -483,8 +488,7 @@ impl Introspect for CtldIntrospect {
                 self.cfg.max_sessions as f64,
             );
         }
-        // Completed sessions contribute their runtime registries
-        // (per-phase latency, per-policy movement, per-worker counters),
+        // Retained completed sessions contribute their runtime snapshots,
         // each tagged with its session label.
         for entry in self
             .registry
@@ -968,4 +972,44 @@ fn run_admitted(
     // detaches: pending frames flush and the session's arrays/kernels are
     // reclaimed on every worker.
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_evicts_the_oldest_done_sessions_and_keeps_live_ones() {
+        let reg = SessionRegistry::default();
+        let p = Priority::Normal;
+        reg.insert(1, p, 0, Phase::Running);
+        reg.insert(2, p, 0, Phase::Queued { position: 1 });
+        let last = 3 + 2 * RETAINED_DONE_SESSIONS as u64;
+        for ticket in 3..=last {
+            reg.insert(ticket, p, 0, Phase::Running);
+            let phase = match ticket % 3 {
+                0 => Phase::Finished { kernels: 1 },
+                1 => Phase::Failed {
+                    message: "boom".into(),
+                },
+                _ => Phase::Rejected {
+                    reason: "full".into(),
+                },
+            };
+            reg.update(ticket, |e| e.phase = phase);
+        }
+        let entries = reg.entries.lock().unwrap();
+        assert_eq!(entries.len(), 2 + RETAINED_DONE_SESSIONS);
+        assert!(matches!(entries[&1].phase, Phase::Running));
+        assert!(matches!(entries[&2].phase, Phase::Queued { .. }));
+        // The newest ended sessions are the ones kept.
+        let oldest_kept = last + 1 - RETAINED_DONE_SESSIONS as u64;
+        assert!(entries.keys().skip(2).all(|&t| t >= oldest_kept));
+        // A rejected insert counts against the same cap.
+        drop(entries);
+        reg.insert(last + 1, p, 0, Phase::Rejected { reason: "x".into() });
+        let entries = reg.entries.lock().unwrap();
+        assert_eq!(entries.len(), 2 + RETAINED_DONE_SESSIONS);
+        assert!(!entries.contains_key(&oldest_kept));
+    }
 }

@@ -361,7 +361,9 @@ fn run_exec(cli: &Cli) -> Result<(), String> {
         eprintln!("[grout-run] trace written to {}", path.display());
     }
     if let Some(path) = &cli.metrics_out {
-        std::fs::write(path, pg.runtime().metrics().to_json_string())
+        let snap = pg.runtime().metrics().snapshot(&[]);
+        let body = serde_json::to_string_pretty(&snap.to_json()).expect("render metrics");
+        std::fs::write(path, body)
             .map_err(|e| format!("cannot write metrics `{}`: {e}", path.display()))?;
         eprintln!("[grout-run] metrics written to {}", path.display());
     }

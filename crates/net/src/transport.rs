@@ -984,21 +984,21 @@ impl Transport for TcpTransport {
         let idx = self.conns[worker].ctrl_frames;
         self.conns[worker].ctrl_frames += 1;
         let mut severed = false;
-        let mut partition_frames = None;
+        let mut partition_beats = None;
         for f in self.net_faults.at(worker, idx) {
             match f {
                 NetFaultKind::Sever => severed = true,
-                NetFaultKind::Partition { frames } => {
+                NetFaultKind::Partition { beats } => {
                     severed = true;
-                    partition_frames = Some(frames);
+                    partition_beats = Some(beats);
                 }
             }
         }
         if severed && self.conns[worker].resuming.is_none() {
             self.sever(worker);
-            if let Some(frames) = partition_frames {
+            if let Some(beats) = partition_beats {
                 self.conns[worker].partition_until =
-                    Some(Instant::now() + self.heartbeat * frames as u32);
+                    Some(Instant::now() + self.heartbeat * beats as u32);
             }
         }
 

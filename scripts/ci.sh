@@ -73,9 +73,10 @@ pids = {e["pid"] for e in trace["traceEvents"]
         if e.get("ph") == "X" and e.get("cat") == "execute"}
 assert {1, 2} <= pids, f"merged trace lacks worker execute lanes: {sorted(pids)}"
 metrics = json.load(open("target/ci-dist-metrics.json"))
-wire = metrics["wire"]
-assert len(wire) == 2, f"expected 2 wire peers, got {len(wire)}"
-assert any(w["hb_rtt"]["count"] >= 1 for w in wire), "no heartbeat RTT samples"
+peers = {s["labels"]["worker"] for s in metrics["grout_wire_frames_total"]["samples"]}
+assert peers == {"0", "1"}, f"expected 2 wire peers, got {sorted(peers)}"
+rtts = metrics["grout_wire_hb_rtt_count"]["samples"]
+assert any(s["value"] >= 1 for s in rtts), "no heartbeat RTT samples"
 print("distributed trace/metrics schema OK")
 EOF
 else
@@ -162,7 +163,9 @@ trap - EXIT
 diff target/ci-sigstop-ref.out target/ci-sigstop.out
 # resumes is column 7 of the --stats table; the freeze must have forced ≥1.
 awk '$2 ~ /^w[0-9]+$/ { sum += $7 } END { exit !(sum >= 1) }' target/ci-sigstop.err
-grep -q '"quarantines": 0' target/ci-sigstop-metrics.json
+# The quarantine sample of the metrics dump must exist and read exactly 0.
+tr -d ' \n' < target/ci-sigstop-metrics.json \
+  | grep -q '{"labels":{"kind":"quarantine"},"value":0}'
 echo "SIGSTOP e2e OK: bit-identical output, >=1 resume, zero quarantines"
 
 echo "==> controller failover (SIGKILL the primary mid-run; hot standby takes over)"

@@ -97,7 +97,7 @@ fn run_workload(rt: &mut LocalRuntime) -> (Vec<Vec<u32>>, u64) {
                 .collect()
         })
         .collect();
-    (bits, rt.metrics().quarantines)
+    (bits, rt.metrics().event_count("quarantine"))
 }
 
 /// The isolation guarantee: two sessions running concurrently on one

@@ -381,9 +381,38 @@ fn traced_tcp_run_merges_clock_aligned_worker_spans() {
         assert!(s.telemetry_batches >= 1, "no telemetry batches from {w}");
         assert!(s.telemetry_spans >= 1, "no telemetry spans from {w}");
     }
-    let json = metrics.to_json_string();
-    assert!(json.contains("\"wire\""), "metrics JSON lacks wire section");
-    assert!(json.contains("\"hb_rtt\""), "metrics JSON lacks RTT stats");
+    let json = metrics.snapshot(&[]).to_json();
+    let samples = |family: &str| -> Vec<(String, f64)> {
+        let fam = json
+            .get(family)
+            .unwrap_or_else(|| panic!("metrics JSON lacks {family}"));
+        let items = fam
+            .get("samples")
+            .and_then(|s| s.as_array())
+            .expect("samples");
+        items
+            .iter()
+            .map(|s| {
+                let worker = s.get("labels").and_then(|l| l.get("worker"));
+                let worker = worker.and_then(|w| w.as_str()).expect("worker label");
+                (
+                    worker.to_string(),
+                    s.get("value").and_then(|v| v.as_f64()).unwrap(),
+                )
+            })
+            .collect()
+    };
+    let frames = samples("grout_wire_frames_total");
+    assert!(
+        frames.iter().any(|(w, _)| w == "1"),
+        "metrics JSON lacks worker 1's wire"
+    );
+    let rtts = samples("grout_wire_hb_rtt_count");
+    assert_eq!(rtts.len(), 2, "one heartbeat RTT count per peer");
+    assert!(
+        rtts.iter().all(|(_, n)| *n >= 1.0),
+        "metrics JSON lacks RTT samples"
+    );
 
     // The untraced transport still counts frames — observability of the
     // wire itself is always on; only span recording is gated.
@@ -454,7 +483,7 @@ fn sigkilled_workerd_is_quarantined_and_replayed() {
         "killed worker must be quarantined"
     );
     assert_eq!(dist.healthy_workers(), 1);
-    assert!(dist.metrics().quarantines >= 1);
+    assert!(dist.metrics().event_count("quarantine") >= 1);
 }
 
 /// `Threads:` from `/proc/self/status` — the kernel's count of threads
@@ -615,8 +644,8 @@ fn worker_joins_mid_run_and_departs_cleanly() {
     assert!(!dist.is_quarantined(0), "clean leave must not quarantine");
     assert!(dist.planner().is_departed(0));
     assert_eq!(dist.healthy_workers(), 2);
-    assert_eq!(dist.metrics().quarantines, 0);
-    assert_eq!(dist.metrics().replays, 0);
+    assert_eq!(dist.metrics().event_count("quarantine"), 0);
+    assert_eq!(dist.metrics().event_count("replay"), 0);
 
     // The run continues on the remaining workers, data intact.
     dist.launch(
